@@ -494,7 +494,7 @@ def _compute(s: Scenario):
         headline = {
             "ell": sol.ell,
             "strain": sol.strain,
-            "residual": sol.residual,
+            "residual": sol.residual,  # relative to the zero-point force
             "binding_exact": sol.binding_exact,
             "binding_first_order": sol.binding_first_order,
             "strain_energy": sol.strain_energy,

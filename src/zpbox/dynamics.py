@@ -10,8 +10,8 @@ force constant K', and the particle and spring energies swing in
 antiphase: their linear responses to eta are equal and opposite because
 the linear term of the total energy vanishes at equilibrium.
 
-Integration is velocity Verlet (symplectic, time reversible), jitted with
-numba when available since the conservation checks run for 10^7 steps.
+Integration is velocity Verlet (symplectic, time reversible), in a plain
+Python kernel over preallocated output arrays.
 """
 
 import math
@@ -21,14 +21,6 @@ import numpy as np
 
 from .errors import AnalysisError, DomainError, NumericalError, ValidationError
 from .equilibrium import StrainSolution
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 _STEPS_PER_PERIOD = 1000  # default dt resolves a small oscillation this finely
 
@@ -59,7 +51,6 @@ def restoring_force(y: float, sol: StrainSolution) -> float:
     return 2.0 / size**3 - sol.K * (sol.strain + y)
 
 
-@njit(cache=True)
 def _verlet_kernel(ell, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel_out):
     """Kick-drift-kick Verlet; records every stride-th step plus the last.
 

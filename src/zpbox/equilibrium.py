@@ -19,6 +19,7 @@ oscillations.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,12 @@ from .errors import DomainError, NumericalError, ValidationError
 
 _GRID_POINTS = 10_000
 _GOLDEN_TOL = 1e-12
+# a Newton correction below this ends the solve: it is far above the few-eps
+# rounding noise of one step, which can make iterates cycle, and the next
+# iterate, returned, is off by O(correction^2) only
+_REL_TOL = 64.0 * sys.float_info.epsilon
+_MAX_ITERATIONS = 200
+_FOURTH_ROOT_OF_2 = 2.0**0.25
 
 
 def _check_stiffness(K: float) -> float:
@@ -48,7 +55,7 @@ class StrainSolution:
     K: float
     ell: float  # equilibrium relative box size d'/d, > 1
     strain: float  # ell - 1
-    residual: float  # |K*strain - 2/ell^3| at the returned root
+    residual: float  # |K*strain - 2/ell^3| / (2/ell^3), relative force balance
     binding_exact: float  # E(y*) - E(0), always < 0
     binding_first_order: float  # -strain/ell^3, the small-strain estimate
     strain_energy: float  # (K/2) strain^2
@@ -71,55 +78,67 @@ def total_energy(y: float, K: float, n: int = 1) -> float:
     return (n * n) / (size * size) + 0.5 * K * y * y
 
 
-def _solve_strain(K: float) -> float:
-    """Root of K*s = 2/(1+s)^3 for s > 0, solved in the strain variable.
+def _bracketed_newton(
+    newton, lo: float, hi: float, s: float, scale: float = 0.0
+) -> float:
+    """Safeguarded Newton-bisection for an increasing function G on [lo, hi].
 
-    Working in s rather than ell keeps the balance well conditioned when
-    K is large and s is many orders below 1.  The residual g(s) =
-    K s - 2/(1+s)^3 is concave and strictly increasing with g(0) = -2,
-    and g(2/sqrt(K)) > 0 for every K, so the bracket is guaranteed.
+    ``newton(s)`` returns ``(G(s), Newton iterate from s)``.  The sign of G
+    narrows the bracket; an iterate outside it is replaced by the bracket's
+    midpoint, so the search never leaves [lo, hi] (Brent 1973, ch. 4).
+    Returns the iterate after the first correction of at most
+    _REL_TOL * (scale + s), kept inside the bracket: scale 0 asks for s to
+    float resolution, scale 1 for ell = 1 + s to float resolution.
     """
-
-    def g(s: float) -> float:
-        return K * s - 2.0 / (1.0 + s) ** 3
-
-    def dg(s: float) -> float:
-        return K + 6.0 / (1.0 + s) ** 4
-
-    lo, hi = 0.0, 2.0 / math.sqrt(K)
-    guard = 0
-    while g(hi) < 0.0:  # cannot trigger analytically; defensive
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise NumericalError(f"failed to bracket the strain root for K={K}")
-
-    # a few bisections to enter the Newton basin
-    for _ in range(8):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
+    for _ in range(_MAX_ITERATIONS):
+        g, s_next = newton(s)
+        if g == 0.0:
+            return s
+        if g < 0.0:
+            lo = s
         else:
-            lo = mid
-
-    # Newton polish; g is concave increasing, so iterates converge
-    # monotonically once below the root.  Keep the best residual seen.
-    s = 0.5 * (lo + hi)
-    best_s, best_f = s, abs(g(s))
-    for _ in range(100):
-        f = g(s)
-        if abs(f) < best_f:
-            best_s, best_f = s, abs(f)
-        if f == 0.0:
-            break
-        step = f / dg(s)
-        s_next = s - step
-        if not 0.0 < s_next:
-            s_next = 0.5 * s
-        if s_next == s:
-            break
+            hi = s
+        if abs(s_next - s) <= _REL_TOL * (scale + s):
+            return min(max(s_next, lo), hi)
+        if not lo <= s_next <= hi:
+            s_next = 0.5 * (lo + hi)
         s = s_next
-    return best_s
+    raise NumericalError(
+        f"bracketed Newton solve did not converge in {_MAX_ITERATIONS} steps "
+        f"(bracket [{lo!r}, {hi!r}])"
+    )
+
+
+def _solve_strain(K: float) -> float:
+    """Root of K s (1+s)^3 = 2 for s > 0, solved in the strain variable.
+
+    G(s) = K s - 2/(1+s)^3 is concave and increasing with G(0) = -2, and
+    K s (1+s)^3 > 2 at s = 2/K and at s = (2/K)^(1/4), so the smaller of
+    the two closes the bracket for every K.  Newton runs from that upper
+    end in the cancellation-free form s <- r^3 (2 + 6 s r) / (K + 6 r^4),
+    r = 1/(1+s).  For s >= 1 the sign comes from K s (1+s)^3 - 2 and the
+    step is scaled by (1+s)^4, with K (1+s)^4 formed as (K^(1/4) (1+s))^4,
+    so nothing overflows or goes subnormal anywhere in the accepted K range.
+    """
+    k4 = math.sqrt(math.sqrt(K))
+
+    def newton(s: float) -> tuple[float, float]:
+        if s < 1.0:
+            r = 1.0 / (1.0 + s)
+            r3 = r * r * r
+            return K * s - 2.0 * r3, r3 * (2.0 + 6.0 * s * r) / (K + 6.0 * r3 * r)
+        q = k4 * (1.0 + s)
+        q4 = q * q * q * q  # K (1+s)^4
+        return s * q4 / (1.0 + s) - 2.0, (2.0 + 8.0 * s) / (q4 + 6.0)
+
+    hi = min(2.0 / K, _FOURTH_ROOT_OF_2 / k4)
+    s = _bracketed_newton(newton, 0.0, hi, hi)
+    if s < 1.0:
+        # a last correction from the expanded K s (1 + 3s + 3s^2 + s^3) - 2,
+        # which rounds less than the r form: the strain ends within ~2 ulps
+        p = K * s * (1.0 + s * (3.0 + s * (3.0 + s))) - 2.0
+        s -= p / (K * (1.0 + s * (6.0 + s * (9.0 + 4.0 * s))))
+    return s
 
 
 def binding_energy(sol: StrainSolution) -> tuple[float, float]:
@@ -134,11 +153,16 @@ def binding_energy(sol: StrainSolution) -> tuple[float, float]:
 
 
 def _binding(K: float, s: float) -> tuple[float, float]:
-    ell = 1.0 + s
+    r = 1.0 / (1.0 + s)
     # 1/ell^2 - 1 written as -s(s+2)/ell^2 to avoid cancellation at tiny s
-    exact = 0.5 * K * s * s - s * (s + 2.0) / (ell * ell)
-    first = -s / ell**3
+    exact = 0.5 * s * (K * s) - s * (s + 2.0) * r * r
+    first = -s * r**3
     return exact, first
+
+
+def _stiffened(K: float, ell: float) -> float:
+    # 6/ell^4 as 6 (1/ell)^4: ell^4 overflows for the softest springs
+    return K + 6.0 * (1.0 / ell) ** 4
 
 
 def effective_stiffness(sol: StrainSolution) -> float:
@@ -149,30 +173,32 @@ def effective_stiffness(sol: StrainSolution) -> float:
     strain reading would give a 6/ell^2 shift; the exact second derivative
     is 6/ell^4, and the finite-difference checks pin the latter.)
     """
-    return sol.K + 6.0 / sol.ell**4
+    return _stiffened(sol.K, sol.ell)
 
 
 def solve_equilibrium(K: float) -> StrainSolution:
     """Solve the strain equilibrium for stiffness K.
 
     Finds the unique relative size ell > 1 where the zero-point force
-    balances the spring, by bracketed bisection plus Newton polish on the
-    force balance in the strain variable.  All derived energies and the
-    stiffened force constant are populated on the result.
+    balances the spring, by a bracketed Newton solve of the force balance
+    in the strain variable, to float resolution for every finite K > 0.
+    All derived energies and the stiffened force constant are populated on
+    the result.
     """
     K = _check_stiffness(K)
     s = _solve_strain(K)
     ell = 1.0 + s
+    balance = 2.0 * (1.0 / ell) ** 3
     exact, first = _binding(K, s)
     return StrainSolution(
         K=K,
         ell=ell,
         strain=s,
-        residual=abs(K * s - 2.0 / ell**3),
+        residual=abs(K * s - balance) / balance,
         binding_exact=exact,
         binding_first_order=first,
-        strain_energy=0.5 * K * s * s,
-        effective_stiffness=K + 6.0 / ell**4,
+        strain_energy=0.5 * s * (K * s),
+        effective_stiffness=_stiffened(K, ell),
     )
 
 

@@ -150,32 +150,13 @@ def quantum_size(n: int, ell: float) -> float:
 def count_nodes(n: int, ell: float) -> int:
     """Count interior zeros of the level-n eigenfunction (excludes the walls).
 
-    Samples 64*n uniformly spaced interior points and refines every sign
-    change by bisection; that density separates all n-1 roots of the sine.
+    Samples 64*n uniformly spaced interior points and counts the exact
+    zeros and the sign changes between neighbours; that density separates
+    all n-1 roots of the sine.
     """
     n = _check_level(n)
     ell = _check_size(ell)
     xs = np.linspace(0.0, ell, 64 * n + 2)[1:-1]
-    vals = wavefunction(n, xs, ell)
-    count = 0
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            count += 1
-            continue
-        if a * b < 0.0:
-            lo, hi = xs[i], xs[i + 1]
-            flo = a
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fmid = float(wavefunction(n, mid, ell))
-                if fmid == 0.0:
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            count += 1
-    if vals[-1] == 0.0:
-        count += 1
-    return count
+    signs = np.sign(wavefunction(n, xs, ell))
+    zeros = np.count_nonzero(signs == 0.0)
+    return int(zeros + np.count_nonzero(signs[:-1] * signs[1:] < 0.0))

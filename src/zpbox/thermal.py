@@ -6,6 +6,12 @@ the ground-state energy of the box at its current size, so the thermal
 average and the strain are solved self-consistently: hotter particles
 push harder, the box yields further, the level spacing shrinks.
 
+The size ell(t) is the root of K (ell - 1) = <F>(ell, t), found by the
+same bracketed Newton solve in the strain s = ell - 1 as the zero-
+temperature equilibrium, which is also the lower end of the bracket.  The
+expansion coefficient follows from implicit differentiation of that
+balance, with every term taken from the Boltzmann weights of the root.
+
 Below t ~ 1 the ground state dominates and the strain saturates at its
 zero-point value; the expansion coefficient therefore vanishes at low t
 and turns positive around t ~ 1.  Nothing in this model contracts the
@@ -18,14 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, ZpboxError
-from .equilibrium import solve_equilibrium
-from .spectrum import MAX_LEVEL, wall_force
+from .equilibrium import _bracketed_newton, solve_equilibrium
+from .spectrum import MAX_LEVEL
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
 _MIN_LEVELS = 4
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_DAMPING = 0.5
-_MAX_FIXED_POINT_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class ThermalPoint:
     ell_t: float  # self-consistent relative box size
     occupancies: tuple[float, ...]  # p_1 .. p_{n_max} at (t, ell_t)
     mean_force: float  # occupancy-weighted wall force at ell_t
-    alpha: float  # (1/ell) d ell/dt; NaN where the centered step is invalid
+    alpha: float  # (1/ell) d ell/dt; NaN where t - max(1e-3, t/100) <= 0
     n_max: int
 
 
@@ -90,6 +93,13 @@ def occupancies(t: float, ell: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _level_forces(n_max: int, ell: float) -> np.ndarray:
+    n = np.arange(1, n_max + 1, dtype=float)
+    # per-level forces mirror wall_force's arithmetic exactly, so the t = 0
+    # reduction to the zero-point force is bitwise
+    return 2.0 * ((n * n) / (ell * ell)) / ell
+
+
 def mean_wall_force(t: float, ell: float = 1.0) -> float:
     """Occupancy-averaged outward wall force at temperature t.
 
@@ -97,49 +107,91 @@ def mean_wall_force(t: float, ell: float = 1.0) -> float:
     thermal excitation only ever adds to it.
     """
     p = occupancies(t, ell)
-    n = np.arange(1, len(p) + 1, dtype=float)
-    # per-level forces mirror wall_force's arithmetic exactly, so the t = 0
-    # reduction to the zero-point force is bitwise
-    forces = 2.0 * ((n * n) / (ell * ell)) / ell
-    return float((p * forces).sum())
+    return float((p * _level_forces(len(p), ell)).sum())
 
 
-def _solve_ell(K: float, t: float) -> tuple[float, np.ndarray, float]:
-    """Damped fixed-point solve of K (ell - 1) = mean_wall_force(t, ell)."""
+@dataclass(frozen=True)
+class _State:
+    """Boltzmann weights and wall-force moments at one (t, ell)."""
+
+    t: float
+    ell: float
+    p: np.ndarray
+    mean_force: float
+    force_variance: float  # var(F_n) over the occupancies
+
+    @property
+    def dforce_dell(self) -> float:
+        """d<F>/d ell = -3 <F>/ell + var(F_n)/t (t > 0)."""
+        return self.force_variance / self.t - 3.0 * self.mean_force / self.ell
+
+
+def _state(t: float, ell: float) -> _State:
+    p = occupancies(t, ell)
+    forces = _level_forces(len(p), ell)
+    mean = float((p * forces).sum())
+    dev = forces - mean
+    return _State(t, ell, p, mean, float((p * dev * dev).sum()))
+
+
+def _solve_ell(K: float, t: float) -> _State:
+    """Root of G(s) = K s - <F>(1 + s, t) in the strain s = ell - 1.
+
+    <F> falls as ell grows, so G increases.  The zero-temperature strain
+    s0 has G(s0) <= 0 because heat only adds force, and G(<F>(1 + s0)/K)
+    >= 0, which closes the bracket.  The Newton step
+    s <- (<F> - s d<F>/d ell) / (K - d<F>/d ell) is a weighted mean of s
+    and <F>/K, so it needs no subtraction and stays inside the bracket.
+    """
     seed = solve_equilibrium(K)  # validates K
-    ell = seed.ell
-    delta = math.inf
-    for _ in range(_MAX_FIXED_POINT_STEPS):
-        implied = 1.0 + mean_wall_force(t, ell) / K
-        delta = implied - ell
-        if abs(delta) < _FIXED_POINT_TOL:
-            p = occupancies(t, ell)
-            return ell, p, mean_wall_force(t, ell)
-        ell = ell + _FIXED_POINT_DAMPING * delta
-    raise NumericalError(
-        f"thermal size iteration did not converge for K={K}, t={t} "
-        f"(last update {delta:.3e})"
-    )
+    last = _state(t, seed.ell)
+    if t == 0.0 or K * seed.strain >= last.mean_force:
+        return last  # heat adds no force at float resolution
+
+    def newton(s: float) -> tuple[float, float]:
+        nonlocal last
+        if 1.0 + s != last.ell:
+            last = _state(t, 1.0 + s)
+        slope = last.dforce_dell
+        return K * s - last.mean_force, (last.mean_force - s * slope) / (K - slope)
+
+    hi = last.mean_force / K
+    s = _bracketed_newton(newton, seed.strain, hi, seed.strain, scale=1.0)
+    if 1.0 + s != last.ell:
+        last = _state(t, 1.0 + s)
+    return last
+
+
+def _alpha(K: float, state: _State) -> float:
+    """(1/ell) d ell/dt by implicit differentiation of K (ell - 1) = <F>.
+
+    alpha = (d<F>/dt) / [ell (K - d<F>/d ell)] with d<F>/dt =
+    cov(F_n, E_n)/t^2.  E_n = ell F_n / 2 turns the covariance into
+    (ell/2) var(F_n), and the factor ell cancels.
+    """
+    t = state.t
+    return 0.5 * state.force_variance / (t * t * (K - state.dforce_dell))
 
 
 def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
     """Self-consistent box size and occupancies at temperature t.
 
-    At t = 0 this reduces exactly to the zero-temperature equilibrium.
-    The expansion coefficient is attached via a centered difference with
-    the default step, or NaN at temperatures too close to zero for one.
+    Solves K (ell - 1) = <F>(ell, t) by a bracketed Newton solve in the
+    strain; at t = 0 this reduces exactly to the zero-temperature
+    equilibrium.  The expansion coefficient comes from implicit
+    differentiation with the same Boltzmann weights, and is NaN where the
+    finite-difference cross-check with the default step would cross t = 0.
     """
     t = _check_temperature(t)
-    ell, p, force = _solve_ell(K, t)
-    step = _default_step(t)
-    alpha = expansion_coefficient(K, t, step) if t - step > 0.0 else math.nan
+    state = _solve_ell(K, t)
+    alpha = _alpha(K, state) if t - _default_step(t) > 0.0 else math.nan
     return ThermalPoint(
         t=t,
-        ell_t=ell,
-        occupancies=tuple(float(v) for v in p),
-        mean_force=force,
+        ell_t=state.ell,
+        occupancies=tuple(float(v) for v in state.p),
+        mean_force=state.mean_force,
         alpha=alpha,
-        n_max=len(p),
+        n_max=len(state.p),
     )
 
 
@@ -148,7 +200,11 @@ def _default_step(t: float) -> float:
 
 
 def expansion_coefficient(K: float, t: float, step: float | None = None) -> float:
-    """Relative expansion rate (1/ell) d ell/dt by centered finite difference."""
+    """Relative expansion rate (1/ell) d ell/dt by centered finite difference.
+
+    A cross-check on the implicit ``alpha`` of :func:`equilibrium_size_at_t`:
+    three independent solves at t - step, t and t + step.
+    """
     t = _check_temperature(t)
     if step is None:
         step = _default_step(t)
@@ -159,9 +215,9 @@ def expansion_coefficient(K: float, t: float, step: float | None = None) -> floa
         raise ValidationError(
             f"need t - step > 0 for a centered difference (t={t}, step={step})"
         )
-    ell_plus, _, _ = _solve_ell(K, t + step)
-    ell_minus, _, _ = _solve_ell(K, t - step)
-    ell_mid, _, _ = _solve_ell(K, t)
+    ell_plus = _solve_ell(K, t + step).ell
+    ell_minus = _solve_ell(K, t - step).ell
+    ell_mid = _solve_ell(K, t).ell
     return (ell_plus - ell_minus) / (2.0 * step * ell_mid)
 
 

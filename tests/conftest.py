@@ -7,6 +7,7 @@ directly, so the production code is checked against a separate route.
 
 import math
 import warnings
+from fractions import Fraction
 
 from scipy import integrate
 
@@ -27,6 +28,34 @@ def quartic_root(K: float, tol: float = 1e-14) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def strain_bisection(K: float) -> float:
+    """Float nearest the strain s > 0 with K s (1 + s)^3 = 2, by bisection.
+
+    Works in the strain, with the sign of K s (1 + s)^3 - 2 taken in exact
+    rational arithmetic, so it stays correct where the strain is far below
+    the resolution of ell = 1 + s (large K) or ell^4 overflows (small K).
+    Bisects until the bracket holds two adjacent floats, then returns the
+    one with the smaller exact residual.
+    """
+    k = Fraction(K)
+
+    def excess(s: float) -> Fraction:
+        x = Fraction(s)
+        return k * x * (1 + x) ** 3 - 2
+
+    lo, hi = 0.0, min(2.0 / K, (2.0 / K) ** 0.25)
+    while excess(hi) < 0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo if abs(excess(lo)) < abs(excess(hi)) else hi
+        if excess(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def quad_strict(f, a: float, b: float, breakpoints=None) -> float:

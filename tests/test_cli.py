@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import quartic_root
+from conftest import quartic_root, strain_bisection
 from zpbox import UsageError
 from zpbox.cli import Scenario, main, parse_scenario, run, summary_dict
 from zpbox.errors import NumericalError
@@ -122,6 +122,16 @@ def test_equilibrium_run_matches_bisection_oracle(tmp_path):
     assert summary.duration_s >= 0.0
     for path in summary.outputs:
         assert (tmp_path / path.split("/")[-1]).stat().st_size > 0
+
+
+@pytest.mark.parametrize("K", ["1e-200", "1e200"])
+def test_equilibrium_at_extreme_stiffness(tmp_path, capsys, K):
+    assert main(["equilibrium", "--K", K, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "equilibrium_summary.json").read_text())
+    expected = strain_bisection(float(K))
+    assert abs(data["strain"] - expected) <= 4.0 * math.ulp(expected)
+    assert data["residual"] < 1e-12
 
 
 def test_si_parameterization_reports_scales(tmp_path):

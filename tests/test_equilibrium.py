@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import logspace_grid, quartic_root
+from conftest import logspace_grid, quartic_root, strain_bisection
 from zpbox import (
     DomainError,
     ValidationError,
@@ -197,3 +197,24 @@ def test_solver_is_deterministic():
     a = solve_equilibrium(7.3)
     b = solve_equilibrium(7.3)
     assert a == b
+
+
+def test_strain_matches_bisection_oracle_over_the_float_range():
+    failures = []
+    for e in range(-300, 301):
+        K = 10.0**e
+        sol = solve_equilibrium(K)
+        expected = strain_bisection(K)
+        if not abs(sol.strain - expected) <= 4.0 * math.ulp(expected):
+            failures.append(f"K=1e{e}: strain {sol.strain!r} vs {expected!r}")
+        if not sol.residual < 1e-12:
+            failures.append(f"K=1e{e}: residual {sol.residual!r}")
+    assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 1e6, 1e-200, 1e200])
+def test_residual_is_relative_to_the_zero_point_force(K):
+    sol = solve_equilibrium(K)
+    balance = 2.0 * (1.0 / sol.ell) ** 3
+    expected = abs(K * sol.strain - balance) / balance
+    assert sol.residual == pytest.approx(expected, rel=1e-9, abs=1e-18)

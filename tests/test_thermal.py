@@ -110,6 +110,32 @@ def test_strain_saturates_below_characteristic_temperature(K):
     assert abs(equilibrium_size_at_t(K, 0.1).ell_t - solve_equilibrium(K).ell) < 1e-8
 
 
+@pytest.mark.parametrize("K, t", [(2.0, 1e4), (1e-10, 0.01)])
+def test_self_consistent_size_far_from_the_zero_temperature_seed(K, t):
+    point = equilibrium_size_at_t(K, t)
+    force = mean_wall_force(t, point.ell_t)
+    assert abs(K * (point.ell_t - 1.0) - force) / force <= 1e-12
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 200.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 50.0])
+def test_implicit_alpha_matches_finite_difference(K, t):
+    alpha = equilibrium_size_at_t(K, t).alpha
+    finite_difference = expansion_coefficient(K, t, step=t / 1000.0)
+    assert alpha == pytest.approx(finite_difference, rel=1e-5)
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-4, 1e-3])
+def test_alpha_nan_where_the_default_centered_step_crosses_zero(t):
+    assert math.isnan(equilibrium_size_at_t(2.0, t).alpha)
+
+
+@pytest.mark.parametrize("t", [1.5e-3, 0.05, 0.1])
+def test_alpha_defined_just_above_the_default_step(t):
+    alpha = equilibrium_size_at_t(2.0, t).alpha
+    assert math.isfinite(alpha) and alpha >= 0.0
+
+
 def test_alpha_undefined_at_zero_temperature():
     assert math.isnan(equilibrium_size_at_t(2.0, 0.0).alpha)
 
