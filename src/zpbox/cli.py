@@ -19,12 +19,11 @@ are raised before any file is opened.
 """
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -382,6 +381,13 @@ def _validate_scenario(s: Scenario) -> None:
             raise UsageError("--dt-factor must be positive")
         if s.n_periods is not None and s.n_periods < 1:
             raise UsageError("--n-periods must be >= 1")
+        if s.n_periods is not None and s.dt_factor is not None:
+            try:
+                finite = math.isfinite(s.n_periods * s.dt_factor)
+            except OverflowError:  # n_periods alone exceeds the float range
+                finite = False
+            if not finite:
+                raise UsageError("--n-periods times --dt-factor must be finite")
 
 
 def _check_grid(name, grid, minimum, strict_min=False) -> None:
@@ -425,16 +431,29 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
     return s.K, mu, None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# rows formatted by one % operation; bounds the text held in memory at once
+_CSV_BLOCK_ROWS = 4096
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length columns as CSV under a header line.
+
+    Integer columns print as ``%d`` and all others as ``%.17g``, the same
+    text as ``str(int(v))`` and ``format(float(v), ".17g")``.  Rows are
+    formatted and written a block at a time, so the whole file is never
+    held as one string.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
+    ) + "\n"
+    n_rows = len(columns[0])
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            values = tuple(itertools.chain.from_iterable(zip(*block)))
+            fh.write((line * len(block[0])) % values)
 
 
 def _jsonable(value):
@@ -474,20 +493,23 @@ def summary_dict(summary: RunSummary) -> dict:
 
 
 def _compute(s: Scenario):
-    """Run the library work for a scenario; returns (headline, rows, K, mu, scales)."""
+    """Run the library work for a scenario.
+
+    Returns (headline, columns, K, mu, scales).  ``columns`` holds one
+    array or sequence per CSV column, in schema order, or is None for a
+    command without a series.
+    """
     K, mu, scales = _resolve_system(s)
     if s.command == "spectrum":
-        rows = [
-            (
-                n,
-                spec.energy_level(n, s.ell),
-                spec.wall_force(n, s.ell),
-                spec.collision_frequency(n, s.ell),
-                spec.quantum_size(n, s.ell),
-            )
-            for n in range(1, s.n_max + 1)
-        ]
-        return {"ell": s.ell, "n_max": s.n_max}, rows, K, mu, scales
+        levels = range(1, s.n_max + 1)
+        columns = (
+            levels,
+            [spec.energy_level(n, s.ell) for n in levels],
+            [spec.wall_force(n, s.ell) for n in levels],
+            [spec.collision_frequency(n, s.ell) for n in levels],
+            [spec.quantum_size(n, s.ell) for n in levels],
+        )
+        return {"ell": s.ell, "n_max": s.n_max}, columns, K, mu, scales
 
     if s.command == "equilibrium":
         sol = eq.solve_equilibrium(K)
@@ -504,10 +526,14 @@ def _compute(s: Scenario):
 
     if s.command == "thermal":
         points = therm.thermal_sweep(K, s.t_grid)
-        rows = [
-            (p.t, p.ell_t, p.alpha, p.mean_force, p.occupancies[0], p.occupancies[1])
-            for p in points
-        ]
+        columns = (
+            [p.t for p in points],
+            [p.ell_t for p in points],
+            [p.alpha for p in points],
+            [p.mean_force for p in points],
+            [p.occupancies[0] for p in points],
+            [p.occupancies[1] for p in points],
+        )
         last = points[-1]
         headline = {
             "t_max": last.t,
@@ -515,7 +541,7 @@ def _compute(s: Scenario):
             "alpha_at_t_max": last.alpha,
             "mean_force_at_t_max": last.mean_force,
         }
-        return headline, rows, K, mu, scales
+        return headline, columns, K, mu, scales
 
     if s.command == "dynamics":
         sol = eq.solve_equilibrium(K)
@@ -529,7 +555,7 @@ def _compute(s: Scenario):
             measured = dyn.measured_frequency(traj)
         except AnalysisError:
             measured = math.nan
-        rows = zip(
+        columns = (
             traj.times,
             traj.eta,
             traj.velocity,
@@ -548,64 +574,41 @@ def _compute(s: Scenario):
             "dt": dt,
             "n_steps": n_steps,
         }
-        return headline, rows, K, mu, scales
+        return headline, columns, K, mu, scales
 
     if s.command == "sweep":
-        solutions = _sweep_solutions(s.k_grid)
-        rows = [
-            (
-                sol.K,
-                sol.ell,
-                sol.strain,
-                sol.binding_exact,
-                sol.binding_first_order,
-                sol.effective_stiffness,
-            )
-            for sol in solutions
-        ]
+        solutions = [eq.solve_equilibrium(K) for K in s.k_grid]
+        columns = (
+            [sol.K for sol in solutions],
+            [sol.ell for sol in solutions],
+            [sol.strain for sol in solutions],
+            [sol.binding_exact for sol in solutions],
+            [sol.binding_first_order for sol in solutions],
+            [sol.effective_stiffness for sol in solutions],
+        )
         headline = {
             "n_points": len(solutions),
             "K_min": s.k_grid[0],
             "K_max": s.k_grid[-1],
         }
-        return headline, rows, K, mu, scales
+        return headline, columns, K, mu, scales
 
     raise UsageError(f"unknown command {s.command!r}")
-
-
-def _sweep_parallelism() -> int:
-    raw = os.environ.get("ZPBOX_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"ZPBOX_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"ZPBOX_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _sweep_solutions(k_grid):
-    workers = _sweep_parallelism()
-    if workers == 1 or len(k_grid) == 1:
-        return [eq.solve_equilibrium(K) for K in k_grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(eq.solve_equilibrium, k_grid))
 
 
 def run(scenario: Scenario) -> RunSummary:
     """Execute a scenario: compute, then write every requested output file.
 
     All numeric work happens before any file is opened, so a failing run
-    leaves no partial output behind.
+    leaves no partial output behind.  The series columns stream into the
+    CSV block by block; the summary JSON follows.
     """
     start = time.perf_counter()
-    headline, rows, K, mu, scales = _compute(scenario)
+    headline, columns, K, mu, scales = _compute(scenario)
 
     out_dir = Path(scenario.out_dir)
     csv_path = None
-    if rows is not None and "csv" in scenario.formats:
+    if columns is not None and "csv" in scenario.formats:
         csv_path = out_dir / f"{scenario.command}.csv"
     json_path = None
     if "json" in scenario.formats:
@@ -623,10 +626,9 @@ def run(scenario: Scenario) -> RunSummary:
         duration_s=0.0,
     )
 
-    csv_text = _csv_text(_CSV_SCHEMAS[scenario.command], rows) if csv_path else None
     out_dir.mkdir(parents=True, exist_ok=True)
     if csv_path is not None:
-        csv_path.write_text(csv_text)
+        _write_csv(csv_path, _CSV_SCHEMAS[scenario.command], columns)
     if json_path is not None:
         json_path.write_text(json.dumps(summary_dict(summary), indent=2) + "\n")
 

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, DomainError, NumericalError, ValidationError
+from .errors import (
+    AnalysisError,
+    DomainError,
+    NumericalError,
+    ValidationError,
+    ZpboxError,
+)
 from .equilibrium import StrainSolution
 
 _STEPS_PER_PERIOD = 1000  # default dt resolves a small oscillation this finely
@@ -107,6 +113,7 @@ def integrate(
 
     Raises:
         NumericalError: if the box collapses mid-run (reports the step).
+        ZpboxError: if the sample arrays cannot be allocated.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu <= 0.0:
@@ -132,8 +139,11 @@ def integrate(
     n_rec = n_steps // record_every + 1
     if n_steps % record_every:
         n_rec += 1
-    eta = np.empty(n_rec)
-    vel = np.empty(n_rec)
+    try:
+        eta = np.empty(n_rec)
+        vel = np.empty(n_rec)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise ZpboxError(f"cannot allocate a trajectory of {n_rec} samples") from None
     written, collapse_step = _verlet_kernel(
         sol.ell, sol.K, mu, y0, v0, dt, n_steps, record_every, eta, vel
     )

@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import DomainError, NumericalError, ValidationError
 
@@ -248,6 +247,8 @@ def minimize_oracle(K: float) -> float:
 
 def _golden_section(K: float, lo: float, hi: float) -> float:
     """Golden-section minimization of the total energy in mpmath arithmetic."""
+    from mpmath import mp, mpf  # imported on first use: only the oracle needs it
+
     with mp.workdps(40):
         Km = mpf(K)
 

@@ -11,7 +11,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, NumericalError, ValidationError
 
@@ -75,6 +74,8 @@ def _interior_nodes(n: int, ell: float) -> list[float]:
 
 def _quad(f, a: float, b: float, breakpoints=None) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod quadrature with the module-wide tolerance."""
+    from scipy import integrate  # imported on first use: slow, and only needed here
+
     kwargs = {"epsabs": _QUAD_ABSTOL, "epsrel": _QUAD_ABSTOL, "limit": 200}
     if breakpoints:
         kwargs["points"] = breakpoints

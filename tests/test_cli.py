@@ -1,11 +1,25 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import zpbox
 from conftest import quartic_root, strain_bisection
 from zpbox import UsageError
-from zpbox.cli import Scenario, main, parse_scenario, run, summary_dict
+from zpbox.cli import (
+    _CSV_BLOCK_ROWS,
+    Scenario,
+    _write_csv,
+    main,
+    parse_scenario,
+    run,
+    summary_dict,
+)
 from zpbox.errors import NumericalError
 
 
@@ -258,23 +272,95 @@ def test_dynamics_from_rest_yields_constant_columns(tmp_path):
     assert data["measured_omega"] is None  # too few crossings to estimate
 
 
-def test_sweep_honors_thread_cap_and_grid_order(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZPBOX_THREADS", "2")
-    out = tmp_path / "sweep2"
-    assert main(["sweep", "--K-grid", "1,2,4,8", "--out", str(out)]) == 0
-    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+def test_sweep_keeps_grid_order(tmp_path):
+    assert main(["sweep", "--K-grid", "1,2,4,8", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["1", "2", "4", "8"]
-    monkeypatch.setenv("ZPBOX_THREADS", "1")
-    out_serial = tmp_path / "sweep1"
-    assert main(["sweep", "--K-grid", "1,2,4,8", "--out", str(out_serial)]) == 0
-    assert (out / "sweep.csv").read_bytes() == (out_serial / "sweep.csv").read_bytes()
 
 
-def test_sweep_rejects_bad_thread_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("ZPBOX_THREADS", "zero")
-    assert main(["sweep", "--K-grid", "1,2", "--out", str(tmp_path / "x")]) == 2
-    monkeypatch.setenv("ZPBOX_THREADS", "0")
-    assert main(["sweep", "--K-grid", "1,2", "--out", str(tmp_path / "y")]) == 2
+def test_dynamics_rejects_infinite_step_count(tmp_path, capsys):
+    out = tmp_path / "never"
+    argv = ["dynamics", "--K", "2", "--dt-factor", "1e308", "--n-periods", "10"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zpbox: error: ") and err.count("\n") == 1
+    assert not out.exists()
+    # an n_periods too large for a float overflows the product the same way
+    assert main(["dynamics", "--K", "2", "--n-periods", "1" + "0" * 400]) == 2
+
+
+def test_dynamics_allocation_failure_is_a_zpbox_error(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("zpbox.dynamics.np.empty", no_memory)
+    argv = ["dynamics", "--K", "2", "--n-periods", "10", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zpbox: error: ") and "10001 samples" in err
+
+
+# every one of these appears in each row, in a different column per row
+_SPECIAL_FLOATS = (
+    0.0,
+    -0.0,
+    math.nan,
+    math.inf,
+    -math.inf,
+    5e-324,
+    1.7976931348623157e308,
+    1e16,
+    0.1,
+    1.0 / 3.0,
+)
+
+
+@pytest.mark.parametrize(
+    "n_rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+)
+def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    k = len(_SPECIAL_FLOATS)
+    ints = np.arange(n_rows, dtype=np.int64) * 7919 - 3
+    ints[0] = np.iinfo(np.int64).max  # not exact as a float
+    ints[-1] = np.iinfo(np.int64).min
+    special = [
+        [_SPECIAL_FLOATS[(i + j) % k] for i in range(n_rows)] for j in range(k)
+    ]
+    bits = rng.integers(0, 2**64, n_rows, dtype=np.uint64).view(np.float64)
+    columns = [ints, *special, bits]
+    header = [f"c{j}" for j in range(len(columns))]
+
+    lines = [",".join(header)]
+    for i in range(n_rows):
+        fields = [str(int(ints[i]))]
+        fields += [format(float(col[i]), ".17g") for col in columns[1:]]
+        lines.append(",".join(fields))
+    expected = ("\n".join(lines) + "\n").encode()
+
+    path = tmp_path / "golden.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("module", ["zpbox.cli", "zpbox"])
+def test_import_leaves_scipy_and_mpmath_unloaded(module):
+    src = str(Path(zpbox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_summary_dict_excludes_wall_clock(tmp_path):
