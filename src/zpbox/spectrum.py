@@ -7,18 +7,24 @@ the levels are n^2/ell^2), forces in eps0/d, collision rates in eps0/hbar.
 reference box, d'/d for a strained box.
 """
 
+import functools
 import math
-import warnings
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 
-#: Levels beyond this are rejected: the quadrature-based checks become
-#: meaninglessly oscillatory long before, and nothing physical lives there.
+#: Levels beyond this are rejected: nothing physical lives there, and
+#: count_nodes and position_expectation do work proportional to n (about
+#: a second each at this bound, in blocks of bounded memory).
 MAX_LEVEL = 1_000_000
 
-_QUAD_ABSTOL = 1e-12
+#: Points of the lower Gauss-Legendre rule in position_expectation; its
+#: companion has twice as many, and their difference is the error estimate.
+_GAUSS_ORDER = 12
+
+#: Samples evaluated per vectorised block, so memory stays bounded at any n.
+_BLOCK_POINTS = 1 << 16
 
 
 def _check_level(n: int) -> int:
@@ -67,32 +73,14 @@ def wavefunction(n: int, x, ell: float):
     return psi if x_arr.ndim else float(psi)
 
 
-def _interior_nodes(n: int, ell: float) -> list[float]:
-    # exact zeros of sin(n pi x / ell) strictly inside (0, ell)
-    return [k * ell / n for k in range(1, n)]
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
+    # imported on first use: import zpbox need not pay for numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
 
-
-def _quad(f, a: float, b: float, breakpoints=None) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod quadrature with the module-wide tolerance."""
-    from scipy import integrate  # imported on first use: slow, and only needed here
-
-    kwargs = {"epsabs": _QUAD_ABSTOL, "epsrel": _QUAD_ABSTOL, "limit": 200}
-    if breakpoints:
-        kwargs["points"] = breakpoints
-        kwargs["limit"] = max(200, 4 * len(breakpoints))
-    with warnings.catch_warnings():
-        # the abserr gate below decides failure; QUADPACK's roundoff
-        # warning at tight tolerances is expected for oscillatory n
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(f, a, b, full_output=1, **kwargs)
-    value, abserr = out[0], out[1]
-    # out has a 4th element (an explanation string) only when QUADPACK warns
-    if abserr > 1e-9:
-        detail = out[3].splitlines()[0] if len(out) > 3 else "tolerance not reached"
-        raise NumericalError(
-            f"quadrature did not converge (error estimate {abserr:.3e}): {detail}"
-        )
-    return value, abserr
+    t, w = leggauss(m)
+    return 0.5 * (1.0 + t), 0.5 * w
 
 
 def position_expectation(n: int, ell: float) -> float:
@@ -101,17 +89,38 @@ def position_expectation(n: int, ell: float) -> float:
     Evaluates the integral numerically rather than using the closed form,
     so it doubles as a check on the eigenfunctions; the result is ell/2
     for every level.
+
+    The rule is composite Gauss-Legendre over the n antinodal segments
+    [k ell/n, (k+1) ell/n], on which x |psi|^2 is smooth: every segment
+    gets a fixed m-point rule and its 2m-point companion, with |psi|^2
+    taken from ``wavefunction`` at all nodes of a block of segments at
+    once. The blocks hold a fixed number of nodes, so memory stays bounded
+    up to ``MAX_LEVEL``. The difference of the two totals is the error
+    estimate; above 1e-9 ell (the scale of the result) it raises
+    ``NumericalError``.
     """
     n = _check_level(n)
     ell = _check_size(ell)
-    norm = math.sqrt(2.0 / ell)
-    omega = n * math.pi / ell
-
-    def integrand(x: float) -> float:
-        s = norm * math.sin(omega * x)
-        return x * s * s
-
-    value, _ = _quad(integrand, 0.0, ell, breakpoints=_interior_nodes(n, ell))
+    m = _GAUSS_ORDER
+    nodes_m, weights_m = _gauss_legendre(m)
+    nodes_2m, weights_2m = _gauss_legendre(2 * m)
+    nodes = np.concatenate([nodes_m, nodes_2m])
+    block = _BLOCK_POINTS // nodes.size
+    total_m = total_2m = 0.0
+    for first in range(0, n, block):
+        segments = np.arange(first, min(first + block, n), dtype=float)
+        # fractions of the box in [0, 1), so x never leaves [0, ell]
+        x = ell * ((segments[:, None] + nodes) / n)
+        f = x * wavefunction(n, x, ell) ** 2
+        total_m += float((f[:, :m] @ weights_m).sum())
+        total_2m += float((f[:, m:] @ weights_2m).sum())
+    width = ell / n
+    value, error = width * total_2m, width * abs(total_2m - total_m)
+    if not (math.isfinite(value) and error <= 1e-9 * ell):
+        raise NumericalError(
+            f"quadrature of <x> for n={n}, ell={ell!r} did not converge "
+            f"(error estimate {error:.3e})"
+        )
     return value
 
 
@@ -153,11 +162,21 @@ def count_nodes(n: int, ell: float) -> int:
 
     Samples 64*n uniformly spaced interior points and counts the exact
     zeros and the sign changes between neighbours; that density separates
-    all n-1 roots of the sine.
+    all n-1 roots of the sine. The samples are taken in fixed-size blocks,
+    carrying the last sign across each block boundary, so memory stays
+    bounded up to ``MAX_LEVEL``.
     """
     n = _check_level(n)
     ell = _check_size(ell)
-    xs = np.linspace(0.0, ell, 64 * n + 2)[1:-1]
-    signs = np.sign(wavefunction(n, xs, ell))
-    zeros = np.count_nonzero(signs == 0.0)
-    return int(zeros + np.count_nonzero(signs[:-1] * signs[1:] < 0.0))
+    samples = 64 * n
+    step = ell / (samples + 1)  # the spacing of linspace(0, ell, samples + 2)
+    count = 0
+    last = 0.0
+    for first in range(1, samples + 1, _BLOCK_POINTS):
+        index = np.arange(first, min(first + _BLOCK_POINTS, samples + 1))
+        signs = np.sign(wavefunction(n, index * step, ell))
+        count += np.count_nonzero(signs == 0.0)
+        count += np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
+        count += last * signs[0] < 0.0
+        last = signs[-1]
+    return int(count)

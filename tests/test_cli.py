@@ -343,13 +343,23 @@ def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
     assert path.read_bytes() == expected
 
 
-@pytest.mark.parametrize("module", ["zpbox.cli", "zpbox"])
-def test_import_leaves_scipy_and_mpmath_unloaded(module):
+@pytest.mark.parametrize(
+    "statement",
+    [
+        pytest.param("import zpbox.cli", id="zpbox.cli"),
+        pytest.param("import zpbox", id="zpbox"),
+        pytest.param(
+            "import zpbox; zpbox.position_expectation(7, 1.3)",
+            id="position_expectation",
+        ),
+    ],
+)
+def test_import_leaves_scipy_and_mpmath_unloaded(statement):
     src = str(Path(zpbox.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        f"import sys, {module}; "
+        f"import sys; {statement}; "
         "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
     )
     result = subprocess.run(

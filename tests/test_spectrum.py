@@ -7,6 +7,7 @@ import pytest
 from conftest import box_nodes, quad_strict
 from zpbox import (
     DomainError,
+    NumericalError,
     ValidationError,
     collision_frequency,
     count_nodes,
@@ -17,6 +18,7 @@ from zpbox import (
     wavefunction,
     wavenumber,
 )
+from zpbox import spectrum
 
 SIZES = (1.0, 1.38, 2.0)
 
@@ -67,6 +69,15 @@ def test_position_expectation_is_half_the_box():
     assert position_expectation(1, 1.0) == pytest.approx(0.5, abs=1e-10)
     assert position_expectation(5, 1.0) == pytest.approx(0.5, abs=1e-10)
     assert position_expectation(1, 2.0) == pytest.approx(1.0, abs=1e-10)
+    # 10^5 antinodal segments: many quadrature blocks
+    assert abs(position_expectation(100_000, 1.3) - 0.65) <= 1e-10
+
+
+def test_position_expectation_raises_when_the_rules_disagree(monkeypatch):
+    # a 1-point and a 2-point rule cannot integrate x sin^2 on a segment
+    monkeypatch.setattr(spectrum, "_GAUSS_ORDER", 1)
+    with pytest.raises(NumericalError, match="error estimate"):
+        position_expectation(3, 1.0)
 
 
 def test_wall_force_values_and_energy_identity():
@@ -115,7 +126,8 @@ def test_normalization(n, ell):
     assert norm == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 12])
+# 5000 levels are 5 sampling blocks, with a node at every block boundary
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 12, 5000])
 def test_interior_node_count(n):
     for ell in SIZES:
         assert count_nodes(n, ell) == n - 1
