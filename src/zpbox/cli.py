@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,26 +71,10 @@ class Scenario:
     def to_argv(self) -> list[str]:
         """Canonical flag list that re-parses to an equal Scenario."""
         argv = [self.command]
-
-        def put(flag, value, fmt=lambda v: format(float(v), ".17g")):
+        for name, flag in _FLAGS.items():
+            value = getattr(self, flag.field)
             if value is not None:
-                argv.extend([flag, fmt(value)])
-
-        put("--K", self.K)
-        put("--particle-mass", self.particle_mass)
-        put("--box-size", self.box_size)
-        put("--spring-stiffness", self.spring_stiffness)
-        put("--wall-mass", self.wall_mass)
-        put("--mu", self.mu)
-        put("--ell", self.ell)
-        put("--n-max", self.n_max, str)
-        put("--t-grid", self.t_grid, _format_grid)
-        put("--K-grid", self.k_grid, _format_grid)
-        put("--y0-frac", self.y0_frac)
-        put("--dt-factor", self.dt_factor)
-        put("--n-periods", self.n_periods, str)
-        argv.extend(["--out", self.out_dir])
-        argv.extend(["--formats", ",".join(self.formats)])
+                argv.extend([f"--{name}", flag.format(value)])
         return argv
 
 
@@ -108,7 +93,11 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# value parsing
+# value parsing and canonical text
+
+#: A start:stop:step grid may span at most this many steps.  The bound is
+#: checked before any point is built, so a tiny step cannot exhaust memory.
+_MAX_RANGE_STEPS = 1_000_000
 
 
 def _parse_float(text: str) -> float:
@@ -141,6 +130,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise UsageError(f"grid step must be positive in {text!r}")
         if stop < start:
             raise UsageError(f"grid stop must be >= start in {text!r}")
+        if (stop - start) / step > _MAX_RANGE_STEPS:
+            raise UsageError(
+                f"grid {text!r} spans more than {_MAX_RANGE_STEPS} steps"
+            )
         values = []
         i = 0
         while True:
@@ -155,10 +148,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return (_parse_float(text),)
 
 
-def _format_grid(grid) -> str:
-    return ",".join(format(float(v), ".17g") for v in grid)
-
-
 def _parse_formats(text: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in text.split(",") if p.strip())
     for name in names:
@@ -169,62 +158,107 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return names
 
 
+def _format_float(value) -> str:
+    return format(float(value), ".17g")
+
+
+def _format_grid(grid) -> str:
+    return ",".join(_format_float(v) for v in grid)
+
+
+# ---------------------------------------------------------------------------
+# the flags
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One command-line flag, which is also a config-file key."""
+
+    field: str  # the Scenario field it sets
+    parse: Callable[[str], object]  # text -> value; raises UsageError
+    format: Callable[[object], str]  # value -> canonical text
+    default: object  # used when neither the flag nor the config gives one
+    help: str
+
+
+_FLOAT = (_parse_float, _format_float)
+_INT = (_parse_int, str)
+_GRID = (_parse_grid, _format_grid)
+
+# every flag, in to_argv() order
+_FLAGS = {
+    "K": _Flag(
+        "K", *_FLOAT, None, "spring stiffness in reduced units (excludes SI flags)"
+    ),
+    "particle-mass": _Flag(
+        "particle_mass", *_FLOAT, None, "particle mass in kg (SI parameterization)"
+    ),
+    "box-size": _Flag(
+        "box_size", *_FLOAT, None, "unstrained box size in m (SI parameterization)"
+    ),
+    "spring-stiffness": _Flag(
+        "spring_stiffness",
+        *_FLOAT,
+        None,
+        "wall spring stiffness in N/m (SI parameterization)",
+    ),
+    "wall-mass": _Flag(
+        "wall_mass",
+        *_FLOAT,
+        None,
+        "wall mass in kg (SI; defaults to 1000 particle masses)",
+    ),
+    "mu": _Flag(
+        "mu", *_FLOAT, None, "wall/particle mass ratio (reduced parameterization)"
+    ),
+    "ell": _Flag("ell", *_FLOAT, 1.0, "relative box size d'/d"),
+    "n-max": _Flag("n_max", *_INT, 10, "number of levels to tabulate"),
+    "t-grid": _Flag(
+        "t_grid",
+        *_GRID,
+        None,
+        "temperature grid, units T0: start:stop:step or comma list",
+    ),
+    "K-grid": _Flag(
+        "k_grid", *_GRID, None, "stiffness grid: start:stop:step or comma list"
+    ),
+    "y0-frac": _Flag(
+        "y0_frac",
+        *_FLOAT,
+        1e-4,
+        "initial displacement as a fraction of the strain, in [0, 1)",
+    ),
+    "dt-factor": _Flag(
+        "dt_factor", *_FLOAT, 1000.0, "steps per small-oscillation period"
+    ),
+    "n-periods": _Flag(
+        "n_periods", *_INT, 10, "number of small-oscillation periods to integrate"
+    ),
+    "out": _Flag(
+        "out_dir", str, str, Scenario.out_dir, "output directory (created on demand)"
+    ),
+    "formats": _Flag(
+        "formats",
+        _parse_formats,
+        ",".join,
+        Scenario.formats,
+        "comma list of outputs to write: csv,json",
+    ),
+}
+
+# the flags each command takes besides --out and --formats, in _FLAGS order
+_SYSTEM = ("K", "particle-mass", "box-size", "spring-stiffness", "wall-mass")
+_COMMAND_FLAGS = {
+    "spectrum": ("ell", "n-max"),
+    "equilibrium": _SYSTEM,
+    "thermal": (*_SYSTEM, "t-grid"),
+    "dynamics": (*_SYSTEM, "mu", "y0-frac", "dt-factor", "n-periods"),
+    "sweep": ("K-grid",),
+}
+
+
 # ---------------------------------------------------------------------------
 # scenario assembly
-
-# flag -> (converter, default); None default means "stays None unless given"
-_COMMON = {
-    "out": (str, "."),
-    "formats": (_parse_formats, ("csv", "json")),
-}
-_SI = {
-    "particle-mass": (_parse_float, None),
-    "box-size": (_parse_float, None),
-    "spring-stiffness": (_parse_float, None),
-    "wall-mass": (_parse_float, None),
-}
-_OPTIONS: dict[str, dict] = {
-    "spectrum": {
-        **_COMMON,
-        "ell": (_parse_float, 1.0),
-        "n-max": (_parse_int, 10),
-    },
-    "equilibrium": {**_COMMON, "K": (_parse_float, None), **_SI},
-    "thermal": {
-        **_COMMON,
-        "K": (_parse_float, None),
-        **_SI,
-        "t-grid": (_parse_grid, None),
-    },
-    "dynamics": {
-        **_COMMON,
-        "K": (_parse_float, None),
-        **_SI,
-        "mu": (_parse_float, None),
-        "y0-frac": (_parse_float, 1e-4),
-        "dt-factor": (_parse_float, 1000.0),
-        "n-periods": (_parse_int, 10),
-    },
-    "sweep": {**_COMMON, "K-grid": (_parse_grid, None)},
-}
-
-_FLAG_HELP = {
-    "out": "output directory (created on demand)",
-    "formats": "comma list of outputs to write: csv,json",
-    "K": "spring stiffness in reduced units (excludes SI flags)",
-    "particle-mass": "particle mass in kg (SI parameterization)",
-    "box-size": "unstrained box size in m (SI parameterization)",
-    "spring-stiffness": "wall spring stiffness in N/m (SI parameterization)",
-    "wall-mass": "wall mass in kg (SI; defaults to 1000 particle masses)",
-    "mu": "wall/particle mass ratio (reduced parameterization)",
-    "ell": "relative box size d'/d",
-    "n-max": "number of levels to tabulate",
-    "t-grid": "temperature grid, units T0: start:stop:step or comma list",
-    "K-grid": "stiffness grid: start:stop:step or comma list",
-    "y0-frac": "initial displacement as a fraction of the strain, in [0, 1)",
-    "dt-factor": "steps per small-oscillation period",
-    "n-periods": "number of small-oscillation periods to integrate",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,40 +266,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser(command: str) -> _Parser:
+def _build_parser(command: str, names) -> _Parser:
     parser = _Parser(prog=f"zpbox {command}", add_help=True, allow_abbrev=False)
     parser.add_argument("--config", default=None, help="flat key = value file")
-    for flag, (conv, default) in _OPTIONS[command].items():
-        extra = "" if default is None else f" (default {_default_text(default)})"
-        parser.add_argument(
-            f"--{flag}",
-            dest=flag.replace("-", "_"),
-            type=_raising(conv),
-            default=None,
-            help=_FLAG_HELP.get(flag, "") + extra,
-        )
+    for name in names:
+        flag = _FLAGS[name]
+        text = flag.help
+        if flag.default is not None:
+            text += f" (default {flag.format(flag.default)})"
+        parser.add_argument(f"--{name}", dest=flag.field, help=text)
     return parser
 
 
-def _default_text(default) -> str:
-    if isinstance(default, tuple):
-        return ",".join(str(v) for v in default)
-    return str(default)
-
-
-def _raising(conv):
-    # argparse swallows ValueError subclasses from type=; funnel through
-    # ArgumentTypeError so the message survives into parser.error()
-    def wrapped(text):
-        try:
-            return conv(text)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return wrapped
-
-
-def _parse_config_text(text: str, allowed: dict) -> dict:
+def _parse_config_text(text: str, names) -> dict[str, str]:
+    """Flat ``key = value`` lines -> {key: value text}, keys checked."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -275,13 +289,11 @@ def _parse_config_text(text: str, allowed: dict) -> dict:
         if not sep:
             raise UsageError(f"config line {lineno}: expected key = value")
         key = key.strip()
-        val = val.strip()
-        if key not in allowed:
+        if key not in names:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
-        conv, _ = allowed[key]
-        values[key] = conv(val)
+        values[key] = val.strip()
     return values
 
 
@@ -299,61 +311,41 @@ def parse_scenario(argv, config_text: str | None = None) -> Scenario:
         raise UsageError(
             f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
         )
-    options = _OPTIONS[command]
-    ns = _build_parser(command).parse_args(argv[1:])
+    names = (*_COMMAND_FLAGS[command], "out", "formats")
+    ns = _build_parser(command, names).parse_args(argv[1:])
 
     if ns.config is not None and config_text is None:
         path = Path(ns.config)
         if not path.is_file():
             raise UsageError(f"config file {ns.config!r} not found")
         config_text = path.read_text()
-    config = _parse_config_text(config_text, options) if config_text else {}
+    config = _parse_config_text(config_text, names) if config_text else {}
 
-    resolved = {}
-    for flag, (conv, default) in options.items():
-        dest = flag.replace("-", "_")
-        value = getattr(ns, dest)
-        if value is None:
-            value = config.get(flag, default)
-        resolved[dest] = value
+    fields = {}
+    for name in names:
+        flag = _FLAGS[name]
+        text = getattr(ns, flag.field)
+        if text is None:
+            text = config.get(name)
+        try:
+            fields[flag.field] = flag.default if text is None else flag.parse(text)
+        except UsageError as exc:
+            raise UsageError(f"--{name}: {exc}") from None
 
-    scenario = Scenario(
-        command=command,
-        K=resolved.get("K"),
-        mu=resolved.get("mu"),
-        particle_mass=resolved.get("particle_mass"),
-        box_size=resolved.get("box_size"),
-        spring_stiffness=resolved.get("spring_stiffness"),
-        wall_mass=resolved.get("wall_mass"),
-        ell=resolved.get("ell"),
-        n_max=resolved.get("n_max"),
-        t_grid=resolved.get("t_grid"),
-        k_grid=resolved.get("K_grid"),
-        y0_frac=resolved.get("y0_frac"),
-        dt_factor=resolved.get("dt_factor"),
-        n_periods=resolved.get("n_periods"),
-        out_dir=resolved.get("out", "."),
-        formats=resolved.get("formats", ("csv", "json")),
-    )
+    scenario = Scenario(command=command, **fields)
     _validate_scenario(scenario)
     return scenario
 
 
 def _validate_scenario(s: Scenario) -> None:
-    si_given = [
-        v
-        for v in (s.particle_mass, s.box_size, s.spring_stiffness, s.wall_mass)
-        if v is not None
-    ]
-    reduced_given = s.K is not None or s.mu is not None
-    if si_given and reduced_given:
+    si = (s.particle_mass, s.box_size, s.spring_stiffness, s.wall_mass)
+    si_given = any(v is not None for v in si)
+    if si_given and (s.K is not None or s.mu is not None):
         raise UsageError(
             "conflicting parameterization: give either --K/--mu or the SI "
             "flags, not both"
         )
-    if si_given and (
-        s.particle_mass is None or s.box_size is None or s.spring_stiffness is None
-    ):
+    if si_given and any(v is None for v in si[:3]):
         raise UsageError(
             "incomplete SI parameterization: --particle-mass, --box-size and "
             "--spring-stiffness are all required"
@@ -370,24 +362,25 @@ def _validate_scenario(s: Scenario) -> None:
             raise UsageError("sweep needs --K-grid")
         _check_grid("K-grid", s.k_grid, minimum=0.0, strict_min=True)
     if s.command == "spectrum":
-        if s.ell is not None and s.ell <= 0:
-            raise UsageError("--ell must be positive")
-        if s.n_max is not None and s.n_max < 1:
+        if not spec.MIN_SIZE <= s.ell <= spec.MAX_SIZE:
+            raise UsageError(
+                f"--ell must lie in [{spec.MIN_SIZE:g}, {spec.MAX_SIZE:g}]"
+            )
+        if s.n_max < 1:
             raise UsageError("--n-max must be >= 1")
     if s.command == "dynamics":
-        if s.y0_frac is not None and not 0.0 <= s.y0_frac < 1.0:
+        if not 0.0 <= s.y0_frac < 1.0:
             raise UsageError("--y0-frac must lie in [0, 1)")
-        if s.dt_factor is not None and s.dt_factor <= 0:
+        if s.dt_factor <= 0:
             raise UsageError("--dt-factor must be positive")
-        if s.n_periods is not None and s.n_periods < 1:
+        if s.n_periods < 1:
             raise UsageError("--n-periods must be >= 1")
-        if s.n_periods is not None and s.dt_factor is not None:
-            try:
-                finite = math.isfinite(s.n_periods * s.dt_factor)
-            except OverflowError:  # n_periods alone exceeds the float range
-                finite = False
-            if not finite:
-                raise UsageError("--n-periods times --dt-factor must be finite")
+        try:
+            finite = math.isfinite(s.n_periods * s.dt_factor)
+        except OverflowError:  # n_periods alone exceeds the float range
+            finite = False
+        if not finite:
+            raise UsageError("--n-periods times --dt-factor must be finite")
 
 
 def _check_grid(name, grid, minimum, strict_min=False) -> None:
@@ -410,14 +403,8 @@ def _check_grid(name, grid, minimum, strict_min=False) -> None:
 def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | None]:
     """Return (K, mu, SI scales dict or None) for a scenario."""
     if s.particle_mass is not None:
-        reduced = model.to_reduced(
-            model.PhysicalInput(
-                particle_mass=s.particle_mass,
-                box_size=s.box_size,
-                spring_stiffness=s.spring_stiffness,
-                wall_mass=s.wall_mass,
-            )
-        )
+        si = (s.particle_mass, s.box_size, s.spring_stiffness, s.wall_mass)
+        reduced = model.to_reduced(model.PhysicalInput(*si))
         scales = {
             "energy_scale_J": reduced.energy_scale,
             "length_scale_m": reduced.length_scale,
@@ -492,14 +479,13 @@ def summary_dict(summary: RunSummary) -> dict:
     return _jsonable(flat)
 
 
-def _compute(s: Scenario):
-    """Run the library work for a scenario.
+def _compute(s: Scenario, K: float | None, mu: float | None):
+    """Run the library work for a scenario whose system is (K, mu).
 
-    Returns (headline, columns, K, mu, scales).  ``columns`` holds one
-    array or sequence per CSV column, in schema order, or is None for a
-    command without a series.
+    Returns (headline, columns).  ``columns`` holds one array or sequence
+    per CSV column, in schema order, or is None for a command without a
+    series.
     """
-    K, mu, scales = _resolve_system(s)
     if s.command == "spectrum":
         levels = range(1, s.n_max + 1)
         columns = (
@@ -509,7 +495,7 @@ def _compute(s: Scenario):
             [spec.collision_frequency(n, s.ell) for n in levels],
             [spec.quantum_size(n, s.ell) for n in levels],
         )
-        return {"ell": s.ell, "n_max": s.n_max}, columns, K, mu, scales
+        return {"ell": s.ell, "n_max": s.n_max}, columns
 
     if s.command == "equilibrium":
         sol = eq.solve_equilibrium(K)
@@ -522,7 +508,7 @@ def _compute(s: Scenario):
             "strain_energy": sol.strain_energy,
             "K_prime": sol.effective_stiffness,
         }
-        return headline, None, K, mu, scales
+        return headline, None
 
     if s.command == "thermal":
         points = therm.thermal_sweep(K, s.t_grid)
@@ -541,7 +527,7 @@ def _compute(s: Scenario):
             "alpha_at_t_max": last.alpha,
             "mean_force_at_t_max": last.mean_force,
         }
-        return headline, columns, K, mu, scales
+        return headline, columns
 
     if s.command == "dynamics":
         sol = eq.solve_equilibrium(K)
@@ -574,7 +560,7 @@ def _compute(s: Scenario):
             "dt": dt,
             "n_steps": n_steps,
         }
-        return headline, columns, K, mu, scales
+        return headline, columns
 
     if s.command == "sweep":
         solutions = [eq.solve_equilibrium(K) for K in s.k_grid]
@@ -591,7 +577,7 @@ def _compute(s: Scenario):
             "K_min": s.k_grid[0],
             "K_max": s.k_grid[-1],
         }
-        return headline, columns, K, mu, scales
+        return headline, columns
 
     raise UsageError(f"unknown command {s.command!r}")
 
@@ -604,7 +590,8 @@ def run(scenario: Scenario) -> RunSummary:
     CSV block by block; the summary JSON follows.
     """
     start = time.perf_counter()
-    headline, columns, K, mu, scales = _compute(scenario)
+    K, mu, scales = _resolve_system(scenario)
+    headline, columns = _compute(scenario, K, mu)
 
     out_dir = Path(scenario.out_dir)
     csv_path = None

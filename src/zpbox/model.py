@@ -108,9 +108,15 @@ def to_reduced(inp: PhysicalInput) -> ReducedSystem:
     """
     m = inp.particle_mass
     d = inp.box_size
-    eps0 = PLANCK_H**2 / (8.0 * m * d**2)
+    try:
+        eps0 = PLANCK_H**2 / (8.0 * m * d**2)
+        K = inp.spring_stiffness * d**2 / eps0
+    except (ZeroDivisionError, OverflowError):
+        raise ValidationError(
+            f"eps0 = h^2/(8 m d^2) leaves the float range at m={m!r}, d={d!r}"
+        ) from None
     return ReducedSystem(
-        K=inp.spring_stiffness * d**2 / eps0,
+        K=K,
         mu=inp.wall_mass / m,
         energy_scale=eps0,
         length_scale=d,

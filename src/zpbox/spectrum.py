@@ -19,6 +19,12 @@ from .errors import DomainError, NumericalError, ValidationError
 #: a second each at this bound, in blocks of bounded memory).
 MAX_LEVEL = 1_000_000
 
+#: Accepted box sizes: every level n <= MAX_LEVEL keeps a normal, finite
+#: energy and wall force (2 n^2/ell^3 overflows below ell ~ 2e-99 and 2/ell^3
+#: is subnormal above ~ 4e102); the equilibrium of any K > 0 has ell < 8e80.
+MIN_SIZE = 1e-90
+MAX_SIZE = 1e90
+
 #: Points of the lower Gauss-Legendre rule in position_expectation; its
 #: companion has twice as many, and their difference is the error estimate.
 _GAUSS_ORDER = 12
@@ -39,8 +45,10 @@ def _check_level(n: int) -> int:
 
 def _check_size(ell: float) -> float:
     ell = float(ell)
-    if not math.isfinite(ell) or ell <= 0.0:
-        raise ValidationError(f"box size ell must be positive and finite, got {ell!r}")
+    if not MIN_SIZE <= ell <= MAX_SIZE:
+        raise ValidationError(
+            f"box size ell must lie in [{MIN_SIZE:g}, {MAX_SIZE:g}], got {ell!r}"
+        )
     return ell
 
 

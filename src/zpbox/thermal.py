@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, ZpboxError
 from .equilibrium import _bracketed_newton, solve_equilibrium
-from .spectrum import MAX_LEVEL
+from .spectrum import MAX_LEVEL, _check_size
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
 _MIN_LEVELS = 4
@@ -50,17 +50,10 @@ def _check_temperature(t: float) -> float:
     return t
 
 
-def _check_size(ell: float) -> float:
-    ell = float(ell)
-    if not math.isfinite(ell) or ell <= 0.0:
-        raise ValidationError(f"box size ell must be positive and finite, got {ell!r}")
-    return ell
-
-
-def _n_levels(t: float, ell: float) -> int:
-    if t == 0.0:
+def _n_levels(t: float, t_scaled: float) -> int:
+    if t_scaled == 0.0:
         return _MIN_LEVELS
-    x = 1.0 / (ell * ell * t)  # level-spacing unit eps0'/t
+    x = 1.0 / t_scaled  # level-spacing unit eps0'/t; inf if t_scaled is subnormal
     if x == 0.0:
         raise ValidationError(f"temperature t = {t!r} is too large to truncate")
     n = int(math.sqrt(_TAIL_EXPONENT / x + 1.0)) + 1
@@ -81,13 +74,16 @@ def occupancies(t: float, ell: float = 1.0) -> np.ndarray:
     """
     t = _check_temperature(t)
     ell = _check_size(ell)
-    n_max = _n_levels(t, ell)
-    if t == 0.0:
+    # t over the level-spacing unit eps0' = 1/ell^2; it underflows to 0
+    # only where every excited weight underflows to 0 as well
+    t_scaled = ell * ell * t
+    n_max = _n_levels(t, t_scaled)
+    if t_scaled == 0.0:
         p = np.zeros(n_max)
         p[0] = 1.0
         return p
     n = np.arange(1, n_max + 1, dtype=float)
-    exponents = -(n * n - 1.0) / (ell * ell * t)
+    exponents = -(n * n - 1.0) / t_scaled
     exponents[0] = 0.0
     weights = np.exp(exponents)
     return weights / weights.sum()

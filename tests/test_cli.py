@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -379,3 +380,145 @@ def test_summary_dict_excludes_wall_clock(tmp_path):
     flat = summary_dict(summary)
     assert "duration_s" not in flat
     assert flat["argv"] == s.to_argv()
+
+
+_SI_FLAGS = [
+    "--particle-mass",
+    "9.109e-31",
+    "--box-size",
+    "1e-9",
+    "--spring-stiffness",
+    "0.06",
+    "--wall-mass",
+    "1e-27",
+]
+_SI_ARGV = [
+    "--particle-mass",
+    "9.1089999999999993e-31",
+    "--box-size",
+    "1.0000000000000001e-09",
+    "--spring-stiffness",
+    "0.059999999999999998",
+    "--wall-mass",
+    "1e-27",
+]
+
+
+# (every flag the command takes, in a scrambled order; canonical to_argv())
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        pytest.param(
+            ["spectrum", "--n-max", "7", "--ell", "1.38", "--formats", "json"]
+            + ["--out", "runs"],
+            ["spectrum", "--ell", "1.3799999999999999", "--n-max", "7"]
+            + ["--out", "runs", "--formats", "json"],
+            id="spectrum",
+        ),
+        pytest.param(
+            ["equilibrium", "--formats", "json,csv", "--K", "0.1", "--out", "runs"],
+            ["equilibrium", "--K", "0.10000000000000001"]
+            + ["--out", "runs", "--formats", "json,csv"],
+            id="equilibrium-reduced",
+        ),
+        pytest.param(
+            ["equilibrium", "--out", "runs", "--formats", "csv", *_SI_FLAGS],
+            ["equilibrium", *_SI_ARGV, "--out", "runs", "--formats", "csv"],
+            id="equilibrium-si",
+        ),
+        pytest.param(
+            ["thermal", "--t-grid", "0:0.3:0.1", "--K", "2", "--out", "runs"]
+            + ["--formats", "csv,json"],
+            ["thermal", "--K", "2", "--t-grid"]
+            + ["0,0.10000000000000001,0.20000000000000001,0.30000000000000004"]
+            + ["--out", "runs", "--formats", "csv,json"],
+            id="thermal-reduced",
+        ),
+        pytest.param(
+            ["thermal", "--t-grid", "0.5,1,2", *_SI_FLAGS, "--out", "runs"]
+            + ["--formats", "json"],
+            ["thermal", *_SI_ARGV, "--t-grid", "0.5,1,2"]
+            + ["--out", "runs", "--formats", "json"],
+            id="thermal-si",
+        ),
+        pytest.param(
+            ["dynamics", "--n-periods", "3", "--dt-factor", "250", "--y0-frac"]
+            + ["0.001", "--mu", "500", "--K", "100", "--out", "runs"]
+            + ["--formats", "csv"],
+            ["dynamics", "--K", "100", "--mu", "500", "--y0-frac", "0.001"]
+            + ["--dt-factor", "250", "--n-periods", "3"]
+            + ["--out", "runs", "--formats", "csv"],
+            id="dynamics-reduced",
+        ),
+        pytest.param(
+            ["dynamics", "--n-periods", "2", "--y0-frac", "0.3", *_SI_FLAGS]
+            + ["--dt-factor", "64", "--formats", "json", "--out", "runs"],
+            ["dynamics", *_SI_ARGV, "--y0-frac", "0.29999999999999999"]
+            + ["--dt-factor", "64", "--n-periods", "2"]
+            + ["--out", "runs", "--formats", "json"],
+            id="dynamics-si",
+        ),
+        pytest.param(
+            ["sweep", "--K-grid", "1:2:0.5", "--formats", "csv", "--out", "runs"],
+            ["sweep", "--K-grid", "1,1.5,2", "--out", "runs", "--formats", "csv"],
+            id="sweep",
+        ),
+    ],
+)
+def test_to_argv_is_canonical_for_every_flag(argv, canonical):
+    s = parse_scenario(argv)
+    assert s.to_argv() == canonical
+    assert parse_scenario(canonical) == s
+    pairs = zip(canonical[1::2], canonical[2::2])
+    config = "".join(f"{flag[2:]} = {value}\n" for flag, value in pairs)
+    assert parse_scenario([s.command], config_text=config) == s
+
+
+def test_every_scenario_field_has_exactly_one_flag():
+    from zpbox.cli import _FLAGS
+
+    fields = [f.name for f in dataclasses.fields(Scenario) if f.name != "command"]
+    assert sorted(flag.field for flag in _FLAGS.values()) == sorted(fields)
+
+
+def test_malformed_values_name_their_flag():
+    with pytest.raises(UsageError, match="--K"):
+        parse_scenario(["equilibrium", "--K", "abc"])
+    with pytest.raises(UsageError, match="--n-periods"):
+        parse_scenario(["dynamics", "--K", "2"], config_text="n-periods = 1.5\n")
+    with pytest.raises(UsageError, match="--t-grid"):
+        parse_scenario(["thermal", "--K", "2"], config_text="t-grid = 0:1\n")
+
+
+def test_range_grid_step_count_is_bounded(tmp_path, capsys):
+    from zpbox.cli import _MAX_RANGE_STEPS, _parse_grid
+
+    assert len(_parse_grid(f"0:{_MAX_RANGE_STEPS}:1")) == _MAX_RANGE_STEPS + 1
+    with pytest.raises(UsageError, match="--K-grid"):
+        parse_scenario(["sweep", "--K-grid", f"1:{_MAX_RANGE_STEPS + 2}:1"])
+    # rejected before any point is built, so this takes no memory
+    out = tmp_path / "never"
+    argv = ["thermal", "--K", "2", "--t-grid", "0:1:1e-300", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zpbox: error: ") and err.count("\n") == 1
+    assert not out.exists()
+    # comma lists are not range grids and stay unbounded
+    assert len(_parse_grid(",".join(["1"] * (_MAX_RANGE_STEPS + 2)))) > _MAX_RANGE_STEPS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--ell", "1e-200"],
+        ["spectrum", "--ell", "1e-150"],
+        ["equilibrium", "--particle-mass", "1e-300", "--box-size", "1e-300"]
+        + ["--spring-stiffness", "1"],
+    ],
+)
+def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zpbox: error: ") and err.count("\n") == 1
+    assert not out.exists()

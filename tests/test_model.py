@@ -115,3 +115,11 @@ def test_K_invariant_under_compensated_rescaling(mass_factor, size_factor):
         PhysicalInput(ELECTRON_MASS * mass_factor, NANOMETER * size_factor, k1)
     )
     assert scaled.K == pytest.approx(base.K, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mass, size", [(1e-300, 1e-300), (1.0, 1e200), (1e300, 1e300)]
+)
+def test_eps0_outside_the_float_range_is_a_validation_error(mass, size):
+    with pytest.raises(ValidationError, match="eps0"):
+        to_reduced(PhysicalInput(mass, size, 1.0))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,3 +166,32 @@ def test_plane_wave_superposition(n, ell):
         assert standing.real == pytest.approx(
             float(wavefunction(n, float(x), ell)), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (energy_level, (1, 1e-200)),
+        (collision_frequency, (1, 1e-200)),
+        (wall_force, (1, 1e-120)),
+        (wavefunction, (1, 2e-309, 5e-309)),
+        (energy_level, (1, math.nextafter(1e-90, 0.0))),
+        (energy_level, (1, math.nextafter(1e90, math.inf))),
+    ],
+)
+def test_size_outside_the_float_safe_range_is_rejected(fn, args):
+    with pytest.raises(ValidationError, match="ell"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("ell", [1e-90, 1e90])
+@pytest.mark.parametrize("n", [1, spectrum.MAX_LEVEL])
+def test_levels_are_finite_and_exact_at_the_ends_of_the_size_range(n, ell):
+    energy = Fraction(n) ** 2 / Fraction(ell) ** 2
+    assert energy_level(n, ell) == pytest.approx(float(energy), rel=1e-15, abs=0)
+    force = 2 * energy / Fraction(ell)
+    assert wall_force(n, ell) == pytest.approx(float(force), rel=1e-15, abs=0)
+    rate = float(Fraction(n) / Fraction(ell) ** 2) / math.pi
+    assert collision_frequency(n, ell) == pytest.approx(rate, rel=1e-15, abs=0)
+    peak = wavefunction(1, 0.5 * ell, ell)
+    assert peak == pytest.approx(math.sqrt(2.0 / ell), rel=1e-15, abs=0)

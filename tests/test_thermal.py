@@ -199,3 +199,19 @@ def test_thermal_sweep_annotates_failing_temperature():
     with pytest.raises(NumericalError, match="t="):
         # forces a failure inside an element by making truncation impossible
         thermal_sweep(2.0, [0.0, 1e305])
+
+
+@pytest.mark.parametrize(
+    "fn, args", [(occupancies, (1.0, 1e-200)), (mean_wall_force, (0.0, 1e-120))]
+)
+def test_size_outside_the_float_safe_range_is_rejected(fn, args):
+    with pytest.raises(ValidationError, match="ell"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("t, ell", [(1e-300, 1e-20), (5e-324, 1e-90), (1e-300, 1.0)])
+def test_temperature_far_below_the_level_spacing_leaves_the_ground_state(t, ell):
+    # t ell^2 underflows (or nearly): every excited weight is exactly 0
+    p = occupancies(t, ell)
+    assert p[0] == 1.0 and np.all(p[1:] == 0.0)
+    assert mean_wall_force(t, ell) == wall_force(1, ell)
