@@ -37,16 +37,6 @@ from . import spectrum as spec
 from . import thermal as therm
 from .errors import AnalysisError, UsageError, ValidationError, ZpboxError
 
-COMMANDS = ("spectrum", "equilibrium", "thermal", "dynamics", "sweep")
-
-_CSV_SCHEMAS = {
-    "spectrum": ("n", "energy", "wall_force", "collision_freq", "quantum_size"),
-    "thermal": ("t", "ell", "alpha", "mean_force", "p1", "p2"),
-    "dynamics": ("t", "eta", "v", "E_particle", "E_strain", "E_kinetic", "E_total"),
-    "sweep": ("K", "ell", "strain", "binding_exact", "binding_first_order", "K_prime"),
-}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Fully resolved run description; round-trips through to_argv()."""
@@ -246,16 +236,6 @@ _FLAGS = {
     ),
 }
 
-# the flags each command takes besides --out and --formats, in _FLAGS order
-_SYSTEM = ("K", "particle-mass", "box-size", "spring-stiffness", "wall-mass")
-_COMMAND_FLAGS = {
-    "spectrum": ("ell", "n-max"),
-    "equilibrium": _SYSTEM,
-    "thermal": (*_SYSTEM, "t-grid"),
-    "dynamics": (*_SYSTEM, "mu", "y0-frac", "dt-factor", "n-periods"),
-    "sweep": ("K-grid",),
-}
-
 
 # ---------------------------------------------------------------------------
 # scenario assembly
@@ -304,14 +284,13 @@ def parse_scenario(argv, config_text: str | None = None) -> Scenario:
     parameterizations, and malformed numbers raise UsageError.
     """
     argv = list(argv)
+    expected = f"expected one of {', '.join(_COMMANDS)}"
     if not argv:
-        raise UsageError(f"missing command; expected one of {', '.join(COMMANDS)}")
+        raise UsageError(f"missing command; {expected}")
     command = argv[0]
-    if command not in COMMANDS:
-        raise UsageError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
-        )
-    names = (*_COMMAND_FLAGS[command], "out", "formats")
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}; {expected}")
+    names = (*_COMMANDS[command].flags, "out", "formats")
     ns = _build_parser(command, names).parse_args(argv[1:])
 
     if ns.config is not None and config_text is None:
@@ -366,8 +345,8 @@ def _validate_scenario(s: Scenario) -> None:
             raise UsageError(
                 f"--ell must lie in [{spec.MIN_SIZE:g}, {spec.MAX_SIZE:g}]"
             )
-        if s.n_max < 1:
-            raise UsageError("--n-max must be >= 1")
+        if not 1 <= s.n_max <= spec.MAX_LEVEL:
+            raise UsageError(f"--n-max must lie in [1, {spec.MAX_LEVEL}]")
     if s.command == "dynamics":
         if not 0.0 <= s.y0_frac < 1.0:
             raise UsageError("--y0-frac must lie in [0, 1)")
@@ -479,107 +458,126 @@ def summary_dict(summary: RunSummary) -> dict:
     return _jsonable(flat)
 
 
-def _compute(s: Scenario, K: float | None, mu: float | None):
-    """Run the library work for a scenario whose system is (K, mu).
+# ---------------------------------------------------------------------------
+# the commands
 
-    Returns (headline, columns).  ``columns`` holds one array or sequence
-    per CSV column, in schema order, or is None for a command without a
-    series.
-    """
-    if s.command == "spectrum":
-        levels = range(1, s.n_max + 1)
-        columns = (
-            levels,
-            [spec.energy_level(n, s.ell) for n in levels],
-            [spec.wall_force(n, s.ell) for n in levels],
-            [spec.collision_frequency(n, s.ell) for n in levels],
-            [spec.quantum_size(n, s.ell) for n in levels],
-        )
-        return {"ell": s.ell, "n_max": s.n_max}, columns
 
-    if s.command == "equilibrium":
-        sol = eq.solve_equilibrium(K)
-        headline = {
-            "ell": sol.ell,
-            "strain": sol.strain,
-            "residual": sol.residual,  # relative to the zero-point force
-            "binding_exact": sol.binding_exact,
-            "binding_first_order": sol.binding_first_order,
-            "strain_energy": sol.strain_energy,
-            "K_prime": sol.effective_stiffness,
-        }
-        return headline, None
+def _spectrum(s: Scenario, K, mu):
+    levels = range(1, s.n_max + 1)
+    columns = {
+        "n": levels,
+        "energy": [spec.energy_level(n, s.ell) for n in levels],
+        "wall_force": [spec.wall_force(n, s.ell) for n in levels],
+        "collision_freq": [spec.collision_frequency(n, s.ell) for n in levels],
+        "quantum_size": [spec.quantum_size(n, s.ell) for n in levels],
+    }
+    return {"ell": s.ell, "n_max": s.n_max}, columns
 
-    if s.command == "thermal":
-        points = therm.thermal_sweep(K, s.t_grid)
-        columns = (
-            [p.t for p in points],
-            [p.ell_t for p in points],
-            [p.alpha for p in points],
-            [p.mean_force for p in points],
-            [p.occupancies[0] for p in points],
-            [p.occupancies[1] for p in points],
-        )
-        last = points[-1]
-        headline = {
-            "t_max": last.t,
-            "ell_at_t_max": last.ell_t,
-            "alpha_at_t_max": last.alpha,
-            "mean_force_at_t_max": last.mean_force,
-        }
-        return headline, columns
 
-    if s.command == "dynamics":
-        sol = eq.solve_equilibrium(K)
-        omega = math.sqrt(sol.effective_stiffness / mu)
-        dt = 2.0 * math.pi / (s.dt_factor * omega)
-        n_steps = max(1, round(s.n_periods * s.dt_factor))
-        traj = dyn.integrate(
-            sol, mu, y0=s.y0_frac * sol.strain, v0=0.0, dt=dt, n_steps=n_steps
-        )
-        try:
-            measured = dyn.measured_frequency(traj)
-        except AnalysisError:
-            measured = math.nan
-        columns = (
-            traj.times,
-            traj.eta,
-            traj.velocity,
-            traj.particle_energy,
-            traj.strain_energy,
-            traj.kinetic_energy,
-            traj.total_energy,
-        )
-        headline = {
-            "ell": sol.ell,
-            "strain": sol.strain,
-            "K_prime": sol.effective_stiffness,
-            "omega_harmonic": omega,
-            "measured_omega": measured,
-            "y0": s.y0_frac * sol.strain,
-            "dt": dt,
-            "n_steps": n_steps,
-        }
-        return headline, columns
+def _equilibrium(s: Scenario, K, mu):
+    sol = eq.solve_equilibrium(K)
+    headline = {
+        "ell": sol.ell,
+        "strain": sol.strain,
+        "residual": sol.residual,  # relative to the zero-point force
+        "binding_exact": sol.binding_exact,
+        "binding_first_order": sol.binding_first_order,
+        "strain_energy": sol.strain_energy,
+        "K_prime": sol.effective_stiffness,
+    }
+    return headline, None
 
-    if s.command == "sweep":
-        solutions = [eq.solve_equilibrium(K) for K in s.k_grid]
-        columns = (
-            [sol.K for sol in solutions],
-            [sol.ell for sol in solutions],
-            [sol.strain for sol in solutions],
-            [sol.binding_exact for sol in solutions],
-            [sol.binding_first_order for sol in solutions],
-            [sol.effective_stiffness for sol in solutions],
-        )
-        headline = {
-            "n_points": len(solutions),
-            "K_min": s.k_grid[0],
-            "K_max": s.k_grid[-1],
-        }
-        return headline, columns
 
-    raise UsageError(f"unknown command {s.command!r}")
+def _thermal(s: Scenario, K, mu):
+    points = therm.thermal_sweep(K, s.t_grid)
+    columns = {
+        "t": [p.t for p in points],
+        "ell": [p.ell_t for p in points],
+        "alpha": [p.alpha for p in points],
+        "mean_force": [p.mean_force for p in points],
+        "p1": [p.occupancies[0] for p in points],
+        "p2": [p.occupancies[1] for p in points],
+    }
+    last = points[-1]
+    headline = {
+        "t_max": last.t,
+        "ell_at_t_max": last.ell_t,
+        "alpha_at_t_max": last.alpha,
+        "mean_force_at_t_max": last.mean_force,
+    }
+    return headline, columns
+
+
+def _dynamics(s: Scenario, K, mu):
+    sol = eq.solve_equilibrium(K)
+    omega = math.sqrt(sol.effective_stiffness / mu)
+    dt = 2.0 * math.pi / (s.dt_factor * omega)
+    n_steps = max(1, round(s.n_periods * s.dt_factor))
+    traj = dyn.integrate(
+        sol, mu, y0=s.y0_frac * sol.strain, v0=0.0, dt=dt, n_steps=n_steps
+    )
+    try:
+        measured = dyn.measured_frequency(traj)
+    except AnalysisError:
+        measured = math.nan
+    columns = {
+        "t": traj.times,
+        "eta": traj.eta,
+        "v": traj.velocity,
+        "E_particle": traj.particle_energy,
+        "E_strain": traj.strain_energy,
+        "E_kinetic": traj.kinetic_energy,
+        "E_total": traj.total_energy,
+    }
+    headline = {
+        "ell": sol.ell,
+        "strain": sol.strain,
+        "K_prime": sol.effective_stiffness,
+        "omega_harmonic": omega,
+        "measured_omega": measured,
+        "y0": s.y0_frac * sol.strain,
+        "dt": dt,
+        "n_steps": n_steps,
+    }
+    return headline, columns
+
+
+def _sweep(s: Scenario, K, mu):
+    solutions = [eq.solve_equilibrium(K) for K in s.k_grid]
+    columns = {
+        "K": [sol.K for sol in solutions],
+        "ell": [sol.ell for sol in solutions],
+        "strain": [sol.strain for sol in solutions],
+        "binding_exact": [sol.binding_exact for sol in solutions],
+        "binding_first_order": [sol.binding_first_order for sol in solutions],
+        "K_prime": [sol.effective_stiffness for sol in solutions],
+    }
+    headline = {
+        "n_points": len(solutions),
+        "K_min": s.k_grid[0],
+        "K_max": s.k_grid[-1],
+    }
+    return headline, columns
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One command: the flags it takes and the work it does."""
+
+    flags: tuple[str, ...]  # besides --out and --formats, in _FLAGS order
+    compute: Callable  # (s, K, mu) -> (headline, {CSV column: values} or None)
+
+
+_SYSTEM = ("K", "particle-mass", "box-size", "spring-stiffness", "wall-mass")
+_COMMANDS = {
+    "spectrum": _Command(("ell", "n-max"), _spectrum),
+    "equilibrium": _Command(_SYSTEM, _equilibrium),
+    "thermal": _Command((*_SYSTEM, "t-grid"), _thermal),
+    "dynamics": _Command(
+        (*_SYSTEM, "mu", "y0-frac", "dt-factor", "n-periods"), _dynamics
+    ),
+    "sweep": _Command(("K-grid",), _sweep),
+}
 
 
 def run(scenario: Scenario) -> RunSummary:
@@ -591,7 +589,7 @@ def run(scenario: Scenario) -> RunSummary:
     """
     start = time.perf_counter()
     K, mu, scales = _resolve_system(scenario)
-    headline, columns = _compute(scenario, K, mu)
+    headline, columns = _COMMANDS[scenario.command].compute(scenario, K, mu)
 
     out_dir = Path(scenario.out_dir)
     csv_path = None
@@ -615,7 +613,7 @@ def run(scenario: Scenario) -> RunSummary:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if csv_path is not None:
-        _write_csv(csv_path, _CSV_SCHEMAS[scenario.command], columns)
+        _write_csv(csv_path, columns.keys(), columns.values())
     if json_path is not None:
         json_path.write_text(json.dumps(summary_dict(summary), indent=2) + "\n")
 

@@ -21,6 +21,7 @@ oscillations.
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -229,9 +230,9 @@ def minimize_oracle(K: float) -> float:
     Independent check on :func:`solve_equilibrium`: a coarse scan of
     total_energy over 10^4 points on (-0.5, y_max], followed by
     golden-section refinement of the bracketing interval down to 1e-12.
-    The refinement evaluates the energy in 40-digit arithmetic because in
-    double precision the well is numerically flat within ~1e-8 of the
-    minimum, which would cap the attainable localization.
+    The refinement compares energies exactly, in rational arithmetic,
+    because in double precision the well is numerically flat within ~1e-8
+    of the minimum, which would cap the attainable localization.
     """
     K = _check_stiffness(K)
     # (K/2) y_max^2 > 2 = E(0) + 1 guarantees the minimum is interior
@@ -242,31 +243,31 @@ def minimize_oracle(K: float) -> float:
     i = int(np.argmin(energies))
     lo = ys[max(i - 1, 0)]
     hi = ys[min(i + 1, len(ys) - 1)]
-    return _golden_section(K, lo, hi)
+    return _golden_section(K, float(lo), float(hi))
 
 
-def _golden_section(K: float, lo: float, hi: float) -> float:
-    """Golden-section minimization of the total energy in mpmath arithmetic."""
-    from mpmath import mp, mpf  # imported on first use: only the oracle needs it
+def _golden_section(K: float, a: float, b: float) -> float:
+    """Golden-section search on [a, b] over float abscissae, exact energies.
 
-    with mp.workdps(40):
-        Km = mpf(K)
+    Stops at _GOLDEN_TOL, or earlier where the abscissae reach float resolution.
+    """
+    half_k = Fraction(K) / 2
 
-        def f(y):
-            return 1 / (1 + y) ** 2 + Km / 2 * y**2
+    def f(y: float) -> Fraction:
+        x = Fraction(y)
+        return 1 / (1 + x) ** 2 + half_k * x * x
 
-        inv_phi = (mp.sqrt(5) - 1) / 2
-        a, b = mpf(lo), mpf(hi)
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = f(c), f(d)
-        while b - a > _GOLDEN_TOL:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = f(d)
-        return float((a + b) / 2)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _GOLDEN_TOL and a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2

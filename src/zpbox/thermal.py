@@ -74,11 +74,11 @@ def occupancies(t: float, ell: float = 1.0) -> np.ndarray:
     """
     t = _check_temperature(t)
     ell = _check_size(ell)
-    # t over the level-spacing unit eps0' = 1/ell^2; it underflows to 0
-    # only where every excited weight underflows to 0 as well
+    # t over the level-spacing unit eps0' = 1/ell^2; where the first excited
+    # weight exp(-3/t_scaled) underflows to 0, every other one does as well
     t_scaled = ell * ell * t
     n_max = _n_levels(t, t_scaled)
-    if t_scaled == 0.0:
+    if t_scaled == 0.0 or math.exp(-3.0 / t_scaled) == 0.0:
         p = np.zeros(n_max)
         p[0] = 1.0
         return p

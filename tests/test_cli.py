@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,7 @@ def test_grid_endpoint_inclusion_within_half_step():
         ["dynamics", "--K", "2", "--mu", "5", "--wall-mass", "1e-27"],
         ["equilibrium", "--K", "2", "--formats", "yaml"],
         ["spectrum", "--ell", "-1"],
+        ["spectrum", "--n-max", "1000001"],  # above spectrum.MAX_LEVEL
     ],
 )
 def test_usage_errors(argv):
@@ -147,6 +149,53 @@ def test_equilibrium_at_extreme_stiffness(tmp_path, capsys, K):
     expected = strain_bisection(float(K))
     assert abs(data["strain"] - expected) <= 4.0 * math.ulp(expected)
     assert data["residual"] < 1e-12
+
+
+def test_thermal_far_below_the_level_spacing_writes_nothing_to_stderr(tmp_path):
+    # a fresh process, so numpy's warnings reach stderr as they would for a user
+    src = str(Path(zpbox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["thermal", "--K", "2", "--t-grid", "0,5e-324,1e-300"]
+    result = subprocess.run(
+        [sys.executable, "-m", "zpbox.cli", *argv, "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
+_SYSTEM_HELP = [
+    "--K",
+    "--particle-mass",
+    "--box-size",
+    "--spring-stiffness",
+    "--wall-mass",
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("spectrum", ["--ell", "--n-max"]),
+        ("equilibrium", _SYSTEM_HELP),
+        ("thermal", [*_SYSTEM_HELP, "--t-grid"]),
+        (
+            "dynamics",
+            [*_SYSTEM_HELP, "--mu", "--y0-frac", "--dt-factor", "--n-periods"],
+        ),
+        ("sweep", ["--K-grid"]),
+    ],
+)
+def test_help_lists_exactly_the_flags_of_the_command(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^ +(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == ["--config", *flags, "--out", "--formats"]
 
 
 def test_si_parameterization_reports_scales(tmp_path):
@@ -352,6 +401,9 @@ def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
         pytest.param(
             "import zpbox; zpbox.position_expectation(7, 1.3)",
             id="position_expectation",
+        ),
+        pytest.param(
+            "import zpbox; zpbox.minimize_oracle(2.0)", id="minimize_oracle"
         ),
     ],
 )

@@ -209,7 +209,9 @@ def test_size_outside_the_float_safe_range_is_rejected(fn, args):
         fn(*args)
 
 
-@pytest.mark.parametrize("t, ell", [(1e-300, 1e-20), (5e-324, 1e-90), (1e-300, 1.0)])
+@pytest.mark.parametrize(
+    "t, ell", [(1e-300, 1e-20), (5e-324, 1e-90), (1e-300, 1.0), (5e-324, 1.0)]
+)
 def test_temperature_far_below_the_level_spacing_leaves_the_ground_state(t, ell):
     # t ell^2 underflows (or nearly): every excited weight is exactly 0
     p = occupancies(t, ell)
