@@ -153,7 +153,7 @@ def _format_float(value) -> str:
 
 
 def _format_grid(grid) -> str:
-    return ",".join(_format_float(v) for v in grid)
+    return ",".join(["%.17g"] * len(grid)) % tuple(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +543,21 @@ def _dynamics(s: Scenario, K, mu):
 
 
 def _sweep(s: Scenario, K, mu):
-    solutions = [eq.solve_equilibrium(K) for K in s.k_grid]
+    # the whole grid in one array solve, with solve_equilibrium's arithmetic
+    k_grid = np.array(s.k_grid)
+    strain = eq._solve_strain(k_grid)
+    ell = 1.0 + strain
+    exact, first = eq._binding(k_grid, strain)
     columns = {
-        "K": [sol.K for sol in solutions],
-        "ell": [sol.ell for sol in solutions],
-        "strain": [sol.strain for sol in solutions],
-        "binding_exact": [sol.binding_exact for sol in solutions],
-        "binding_first_order": [sol.binding_first_order for sol in solutions],
-        "K_prime": [sol.effective_stiffness for sol in solutions],
+        "K": k_grid,
+        "ell": ell,
+        "strain": strain,
+        "binding_exact": exact,
+        "binding_first_order": first,
+        "K_prime": eq._stiffened(k_grid, ell),
     }
     headline = {
-        "n_points": len(solutions),
+        "n_points": len(k_grid),
         "K_min": s.k_grid[0],
         "K_max": s.k_grid[-1],
     }

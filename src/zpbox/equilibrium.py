@@ -78,9 +78,14 @@ def total_energy(y: float, K: float, n: int = 1) -> float:
     return (n * n) / (size * size) + 0.5 * K * y * y
 
 
-def _bracketed_newton(
-    newton, lo: float, hi: float, s: float, scale: float = 0.0
-) -> float:
+def _where(cond, a, b):
+    """np.where for an array condition; for a plain one, a if cond else b."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _bracketed_newton(newton, lo, hi, s, scale=0.0):
     """Safeguarded Newton-bisection for an increasing function G on [lo, hi].
 
     ``newton(s)`` returns ``(G(s), Newton iterate from s)``.  The sign of G
@@ -89,27 +94,32 @@ def _bracketed_newton(
     Returns the iterate after the first correction of at most
     _REL_TOL * (scale + s), kept inside the bracket: scale 0 asks for s to
     float resolution, scale 1 for ell = 1 + s to float resolution.
+
+    Works on floats or elementwise on arrays: each element keeps its own
+    bracket and its result freezes at its own first small correction, so it
+    follows the iterates of a solve of that element alone.
     """
+    done = False
+    result = s
     for _ in range(_MAX_ITERATIONS):
         g, s_next = newton(s)
-        if g == 0.0:
-            return s
-        if g < 0.0:
-            lo = s
-        else:
-            hi = s
-        if abs(s_next - s) <= _REL_TOL * (scale + s):
-            return min(max(s_next, lo), hi)
-        if not lo <= s_next <= hi:
-            s_next = 0.5 * (lo + hi)
-        s = s_next
+        below = g < 0.0
+        lo = _where(below, s, lo)
+        hi = _where(below, hi, s)
+        clamped = _where(s_next < lo, lo, _where(s_next > hi, hi, s_next))
+        result = _where(done, result, _where(g == 0.0, s, clamped))
+        done = done | (g == 0.0) | (abs(s_next - s) <= _REL_TOL * (scale + s))
+        # a plain bool is read directly: np.all on it costs more than a step
+        if done if isinstance(done, bool) else done.all():
+            return result
+        s = _where((lo <= s_next) & (s_next <= hi), s_next, 0.5 * (lo + hi))
     raise NumericalError(
         f"bracketed Newton solve did not converge in {_MAX_ITERATIONS} steps "
         f"(bracket [{lo!r}, {hi!r}])"
     )
 
 
-def _solve_strain(K: float) -> float:
+def _solve_strain(K):
     """Root of K s (1+s)^3 = 2 for s > 0, solved in the strain variable.
 
     G(s) = K s - 2/(1+s)^3 is concave and increasing with G(0) = -2, and
@@ -119,26 +129,40 @@ def _solve_strain(K: float) -> float:
     r = 1/(1+s).  For s >= 1 the sign comes from K s (1+s)^3 - 2 and the
     step is scaled by (1+s)^4, with K (1+s)^4 formed as (K^(1/4) (1+s))^4,
     so nothing overflows or goes subnormal anywhere in the accepted K range.
-    """
-    k4 = math.sqrt(math.sqrt(K))
 
-    def newton(s: float) -> tuple[float, float]:
-        if s < 1.0:
-            r = 1.0 / (1.0 + s)
-            r3 = r * r * r
-            return K * s - 2.0 * r3, r3 * (2.0 + 6.0 * s * r) / (K + 6.0 * r3 * r)
+    K is a float or an array of them; an array is solved elementwise with
+    the same arithmetic.  Both branches are evaluated and one is selected,
+    so the branch that is not taken may overflow: its warnings are muted.
+    """
+    if isinstance(K, np.ndarray):
+        k4 = np.sqrt(np.sqrt(K))
+    else:
+        k4 = math.sqrt(math.sqrt(K))
+
+    def newton(s):
+        r = 1.0 / (1.0 + s)
+        r3 = r * r * r
         q = k4 * (1.0 + s)
         q4 = q * q * q * q  # K (1+s)^4
-        return s * q4 / (1.0 + s) - 2.0, (2.0 + 8.0 * s) / (q4 + 6.0)
+        small = s < 1.0
+        g = _where(small, K * s - 2.0 * r3, s * q4 / (1.0 + s) - 2.0)
+        step = _where(
+            small,
+            r3 * (2.0 + 6.0 * s * r) / (K + 6.0 * r3 * r),
+            (2.0 + 8.0 * s) / (q4 + 6.0),
+        )
+        return g, step
 
-    hi = min(2.0 / K, _FOURTH_ROOT_OF_2 / k4)
-    s = _bracketed_newton(newton, 0.0, hi, hi)
-    if s < 1.0:
-        # a last correction from the expanded K s (1 + 3s + 3s^2 + s^3) - 2,
-        # which rounds less than the r form: the strain ends within ~2 ulps
+    with np.errstate(all="ignore"):
+        stiff, soft = 2.0 / K, _FOURTH_ROOT_OF_2 / k4
+        hi = _where(soft < stiff, soft, stiff)
+        s = _bracketed_newton(newton, 0.0, hi, hi)
+        # for s < 1, a last correction from the expanded K s (1 + 3s + 3s^2 +
+        # s^3) - 2, which rounds less than the r form: the strain ends within
+        # ~2 ulps
         p = K * s * (1.0 + s * (3.0 + s * (3.0 + s))) - 2.0
-        s -= p / (K * (1.0 + s * (6.0 + s * (9.0 + 4.0 * s))))
-    return s
+        polished = s - p / (K * (1.0 + s * (6.0 + s * (9.0 + 4.0 * s))))
+        return _where(s < 1.0, polished, s)
 
 
 def binding_energy(sol: StrainSolution) -> tuple[float, float]:
@@ -152,17 +176,19 @@ def binding_energy(sol: StrainSolution) -> tuple[float, float]:
     return _binding(sol.K, sol.strain)
 
 
-def _binding(K: float, s: float) -> tuple[float, float]:
+def _binding(K, s):
     r = 1.0 / (1.0 + s)
     # 1/ell^2 - 1 written as -s(s+2)/ell^2 to avoid cancellation at tiny s
     exact = 0.5 * s * (K * s) - s * (s + 2.0) * r * r
-    first = -s * r**3
+    # powers as products, which numpy and libm round alike
+    first = -s * (r * r * r)
     return exact, first
 
 
-def _stiffened(K: float, ell: float) -> float:
+def _stiffened(K, ell):
     # 6/ell^4 as 6 (1/ell)^4: ell^4 overflows for the softest springs
-    return K + 6.0 * (1.0 / ell) ** 4
+    q = 1.0 / ell
+    return K + 6.0 * ((q * q) * (q * q))
 
 
 def effective_stiffness(sol: StrainSolution) -> float:
@@ -235,11 +261,13 @@ def minimize_oracle(K: float) -> float:
     of the minimum, which would cap the attainable localization.
     """
     K = _check_stiffness(K)
-    # (K/2) y_max^2 > 2 = E(0) + 1 guarantees the minimum is interior
-    y_max = 2.1 / math.sqrt(K)
+    # K y* (1 + y*)^3 = 2 gives y* < 2/K and y* < (2/K)^(1/4), so twice the
+    # smaller bound puts the minimum inside the scanned interval for every K
+    y_max = 2.0 * min(2.0 / K, _FOURTH_ROOT_OF_2 / math.sqrt(math.sqrt(K)))
     ys = np.linspace(-0.5, y_max, _GRID_POINTS + 1)[1:]
     sizes = 1.0 + ys
-    energies = 1.0 / (sizes * sizes) + 0.5 * K * ys * ys
+    # K y^2 before the 0.5, which would round a subnormal K to 0
+    energies = 1.0 / (sizes * sizes) + 0.5 * (K * ys * ys)
     i = int(np.argmin(energies))
     lo = ys[max(i - 1, 0)]
     hi = ys[min(i + 1, len(ys) - 1)]

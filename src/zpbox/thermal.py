@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, ZpboxError
-from .equilibrium import _bracketed_newton, solve_equilibrium
+from .equilibrium import StrainSolution, _bracketed_newton, solve_equilibrium
 from .spectrum import MAX_LEVEL, _check_size
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
@@ -130,7 +130,7 @@ def _state(t: float, ell: float) -> _State:
     return _State(t, ell, p, mean, float((p * dev * dev).sum()))
 
 
-def _solve_ell(K: float, t: float) -> _State:
+def _solve_ell(K: float, t: float, seed: StrainSolution | None = None) -> _State:
     """Root of G(s) = K s - <F>(1 + s, t) in the strain s = ell - 1.
 
     <F> falls as ell grows, so G increases.  The zero-temperature strain
@@ -138,8 +138,10 @@ def _solve_ell(K: float, t: float) -> _State:
     >= 0, which closes the bracket.  The Newton step
     s <- (<F> - s d<F>/d ell) / (K - d<F>/d ell) is a weighted mean of s
     and <F>/K, so it needs no subtraction and stays inside the bracket.
+    ``seed`` is the zero-temperature solution at K, solved here if not given.
     """
-    seed = solve_equilibrium(K)  # validates K
+    if seed is None:
+        seed = solve_equilibrium(K)  # validates K
     last = _state(t, seed.ell)
     if t == 0.0 or K * seed.strain >= last.mean_force:
         return last  # heat adds no force at float resolution
@@ -169,7 +171,9 @@ def _alpha(K: float, state: _State) -> float:
     return 0.5 * state.force_variance / (t * t * (K - state.dforce_dell))
 
 
-def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
+def equilibrium_size_at_t(
+    K: float, t: float, *, _seed: StrainSolution | None = None
+) -> ThermalPoint:
     """Self-consistent box size and occupancies at temperature t.
 
     Solves K (ell - 1) = <F>(ell, t) by a bracketed Newton solve in the
@@ -179,7 +183,7 @@ def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
     finite-difference cross-check with the default step would cross t = 0.
     """
     t = _check_temperature(t)
-    state = _solve_ell(K, t)
+    state = _solve_ell(K, t, _seed)
     alpha = _alpha(K, state) if t - _default_step(t) > 0.0 else math.nan
     return ThermalPoint(
         t=t,
@@ -227,10 +231,11 @@ def thermal_sweep(K: float, t_grid) -> list[ThermalPoint]:
             raise ValidationError(f"grid temperatures must be finite and >= 0, got {t!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("temperature grid must be strictly increasing")
+    seed = solve_equilibrium(K)  # the same at every t; validates K
     points = []
     for t in grid:
         try:
-            points.append(equilibrium_size_at_t(K, t))
+            points.append(equilibrium_size_at_t(K, t, _seed=seed))
         except ZpboxError as exc:
             raise NumericalError(f"thermal sweep failed at t={t}: {exc}") from exc
     return points

@@ -328,6 +328,41 @@ def test_sweep_keeps_grid_order(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["1", "2", "4", "8"]
 
 
+def test_sweep_rows_equal_solve_equilibrium_across_the_float_range(tmp_path):
+    # a fresh process, so numpy's warnings reach stderr as they would for a user
+    grid = (
+        "5e-324,1e-300,1e-200,1e-16,0.01,0.25,2,3.7,1e8,1e200,"
+        "1.7976931348623157e308"
+    )
+    src = str(Path(zpbox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "zpbox.cli", "sweep", "--K-grid", grid],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    expected = []
+    for K in grid.split(","):
+        sol = zpbox.solve_equilibrium(float(K))
+        fields = (
+            sol.K,
+            sol.ell,
+            sol.strain,
+            sol.binding_exact,
+            sol.binding_first_order,
+            sol.effective_stiffness,
+        )
+        expected.append(",".join("%.17g" % v for v in fields))
+    assert rows == expected
+
+
 def test_dynamics_rejects_infinite_step_count(tmp_path, capsys):
     out = tmp_path / "never"
     argv = ["dynamics", "--K", "2", "--dt-factor", "1e308", "--n-periods", "10"]

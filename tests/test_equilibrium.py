@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from conftest import logspace_grid, quartic_root, strain_bisection
@@ -13,6 +15,7 @@ from zpbox import (
     solve_equilibrium,
     total_energy,
 )
+from zpbox.equilibrium import _solve_strain
 
 # bisection oracle values, frozen (tol 1e-14 on the quartic root)
 ELL_K2 = 1.3802775690976143
@@ -201,15 +204,41 @@ def test_solver_is_deterministic():
 
 def test_strain_matches_bisection_oracle_over_the_float_range():
     failures = []
+    strains = []
     for e in range(-300, 301):
         K = 10.0**e
         sol = solve_equilibrium(K)
+        strains.append(sol.strain)
         expected = strain_bisection(K)
         if not abs(sol.strain - expected) <= 4.0 * math.ulp(expected):
             failures.append(f"K=1e{e}: strain {sol.strain!r} vs {expected!r}")
         if not sol.residual < 1e-12:
             failures.append(f"K=1e{e}: residual {sol.residual!r}")
     assert not failures, failures[:5]
+    # one array solve over the same K gives the scalar strains bit for bit
+    array = _solve_strain(np.array([10.0**e for e in range(-300, 301)]))
+    assert array.tolist() == strains
+
+
+def test_array_strain_does_not_depend_on_the_order_of_the_elements():
+    rng = random.Random(5)
+    grid = [10.0 ** rng.uniform(-300, 300) for _ in range(500)]
+    grid += [5e-324, 1e-16, 1.0, 3.7, 1.7976931348623157e308]
+    expected = dict(zip(grid, _solve_strain(np.array(grid)).tolist()))
+    for order in (grid[::-1], rng.sample(grid, len(grid))):
+        assert dict(zip(order, _solve_strain(np.array(order)).tolist())) == expected
+    assert all(expected[K] == _solve_strain(K) for K in grid)
+
+
+@pytest.mark.parametrize("K", [1e-16, 1e-40, 1e-120, 1e-300])
+def test_minimize_oracle_finds_the_minimum_of_the_softest_springs(K):
+    expected = strain_bisection(K)
+    assert abs(minimize_oracle(K) - expected) <= 1e-12 * expected
+
+
+def test_minimize_oracle_at_the_smallest_subnormal_stiffness():
+    expected = solve_equilibrium(5e-324).strain
+    assert abs(minimize_oracle(5e-324) - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("K", [0.5, 2.0, 1e6, 1e-200, 1e200])

@@ -217,3 +217,18 @@ def test_temperature_far_below_the_level_spacing_leaves_the_ground_state(t, ell)
     p = occupancies(t, ell)
     assert p[0] == 1.0 and np.all(p[1:] == 0.0)
     assert mean_wall_force(t, ell) == wall_force(1, ell)
+
+
+def test_thermal_sweep_solves_the_zero_temperature_equilibrium_once(monkeypatch):
+    import zpbox.thermal
+
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return solve_equilibrium(K)
+
+    monkeypatch.setattr(zpbox.thermal, "solve_equilibrium", counted)
+    points = thermal_sweep(2.0, np.linspace(0.0, 5.0, 50))
+    assert len(points) == 50
+    assert calls == [2.0]
