@@ -130,6 +130,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             v = start + i * step
             if v > stop + 0.5 * step:
                 break
+            if values and v <= values[-1]:  # step below float resolution
+                raise UsageError(f"grid step is too small to advance in {text!r}")
             values.append(v)
             i += 1
         return tuple(values)
@@ -634,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValidationError) as exc:
         print(f"zpbox: error: {exc}", file=sys.stderr)
         return 2
-    except ZpboxError as exc:  # numerical / domain / analysis failures
+    except (ZpboxError, OSError) as exc:  # numerical failures, unwritable --out
         print(f"zpbox: error: {exc}", file=sys.stderr)
         return 1
     print(f"zpbox {summary.command}: ok ({summary.duration_s:.3f} s)")

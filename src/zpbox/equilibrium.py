@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 
-_GRID_POINTS = 10_000
 _GOLDEN_TOL = 1e-12
 # a Newton correction below this ends the solve: it is far above the few-eps
 # rounding noise of one step, which can make iterates cycle, and the next
@@ -173,7 +172,7 @@ def binding_energy(sol: StrainSolution) -> tuple[float, float]:
     gap grows linearly with strain, which is what makes the first-order
     form usable only in the stiff-spring regime.
     """
-    return _binding(sol.K, sol.strain)
+    return sol.binding_exact, sol.binding_first_order
 
 
 def _binding(K, s):
@@ -199,7 +198,7 @@ def effective_stiffness(sol: StrainSolution) -> float:
     strain reading would give a 6/ell^2 shift; the exact second derivative
     is 6/ell^4, and the finite-difference checks pin the latter.)
     """
-    return _stiffened(sol.K, sol.ell)
+    return sol.effective_stiffness
 
 
 def solve_equilibrium(K: float) -> StrainSolution:
@@ -253,31 +252,25 @@ def perturbed_energy(sol: StrainSolution, eta: float, sign: int = 1) -> float:
 def minimize_oracle(K: float) -> float:
     """Locate the energy minimum by direct search; returns the displacement y*.
 
-    Independent check on :func:`solve_equilibrium`: a coarse scan of
-    total_energy over 10^4 points on (-0.5, y_max], followed by
-    golden-section refinement of the bracketing interval down to 1e-12.
-    The refinement compares energies exactly, in rational arithmetic,
-    because in double precision the well is numerically flat within ~1e-8
-    of the minimum, which would cap the attainable localization.
+    Independent check on :func:`solve_equilibrium`: a golden-section search
+    of total_energy over [0, y_max], with no float pre-scan.  E is strictly
+    convex on y > -1 (E'' = 6/(1+y)^4 + K > 0) and falls at 0 (E'(0) = -2);
+    K y* (1 + y*)^3 = 2 gives y* < 2/K and y* < (2/K)^(1/4), so y_max, twice
+    the smaller bound, brackets the one minimum for every K.  Energies are
+    compared exactly, in rational arithmetic, because in double precision
+    the well is numerically flat near the minimum.
     """
     K = _check_stiffness(K)
-    # K y* (1 + y*)^3 = 2 gives y* < 2/K and y* < (2/K)^(1/4), so twice the
-    # smaller bound puts the minimum inside the scanned interval for every K
     y_max = 2.0 * min(2.0 / K, _FOURTH_ROOT_OF_2 / math.sqrt(math.sqrt(K)))
-    ys = np.linspace(-0.5, y_max, _GRID_POINTS + 1)[1:]
-    sizes = 1.0 + ys
-    # K y^2 before the 0.5, which would round a subnormal K to 0
-    energies = 1.0 / (sizes * sizes) + 0.5 * (K * ys * ys)
-    i = int(np.argmin(energies))
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, len(ys) - 1)]
-    return _golden_section(K, float(lo), float(hi))
+    return _golden_section(K, 0.0, y_max)
 
 
 def _golden_section(K: float, a: float, b: float) -> float:
     """Golden-section search on [a, b] over float abscissae, exact energies.
 
-    Stops at _GOLDEN_TOL, or earlier where the abscissae reach float resolution.
+    E is unimodal on the bracket, so each step keeps the minimum inside it
+    (Brent 1973, ch. 5).  Stops once b - a <= _GOLDEN_TOL * b, or earlier
+    where the abscissae reach float resolution.
     """
     half_k = Fraction(K) / 2
 
@@ -289,7 +282,7 @@ def _golden_section(K: float, a: float, b: float) -> float:
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > _GOLDEN_TOL and a < c < d < b:
+    while b - a > _GOLDEN_TOL * b and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

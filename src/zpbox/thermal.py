@@ -130,7 +130,7 @@ def _state(t: float, ell: float) -> _State:
     return _State(t, ell, p, mean, float((p * dev * dev).sum()))
 
 
-def _solve_ell(K: float, t: float, seed: StrainSolution | None = None) -> _State:
+def _solve_ell(K: float, t: float, seed: StrainSolution) -> _State:
     """Root of G(s) = K s - <F>(1 + s, t) in the strain s = ell - 1.
 
     <F> falls as ell grows, so G increases.  The zero-temperature strain
@@ -138,10 +138,8 @@ def _solve_ell(K: float, t: float, seed: StrainSolution | None = None) -> _State
     >= 0, which closes the bracket.  The Newton step
     s <- (<F> - s d<F>/d ell) / (K - d<F>/d ell) is a weighted mean of s
     and <F>/K, so it needs no subtraction and stays inside the bracket.
-    ``seed`` is the zero-temperature solution at K, solved here if not given.
+    ``seed`` is the zero-temperature solution at K.
     """
-    if seed is None:
-        seed = solve_equilibrium(K)  # validates K
     last = _state(t, seed.ell)
     if t == 0.0 or K * seed.strain >= last.mean_force:
         return last  # heat adds no force at float resolution
@@ -171,9 +169,7 @@ def _alpha(K: float, state: _State) -> float:
     return 0.5 * state.force_variance / (t * t * (K - state.dforce_dell))
 
 
-def equilibrium_size_at_t(
-    K: float, t: float, *, _seed: StrainSolution | None = None
-) -> ThermalPoint:
+def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
     """Self-consistent box size and occupancies at temperature t.
 
     Solves K (ell - 1) = <F>(ell, t) by a bracketed Newton solve in the
@@ -182,8 +178,12 @@ def equilibrium_size_at_t(
     differentiation with the same Boltzmann weights, and is NaN where the
     finite-difference cross-check with the default step would cross t = 0.
     """
-    t = _check_temperature(t)
-    state = _solve_ell(K, t, _seed)
+    return _point(K, _check_temperature(t), solve_equilibrium(K))
+
+
+def _point(K: float, t: float, seed: StrainSolution) -> ThermalPoint:
+    """ThermalPoint at a checked t, from the zero-temperature solution at K."""
+    state = _solve_ell(K, t, seed)
     alpha = _alpha(K, state) if t - _default_step(t) > 0.0 else math.nan
     return ThermalPoint(
         t=t,
@@ -203,7 +203,7 @@ def expansion_coefficient(K: float, t: float, step: float | None = None) -> floa
     """Relative expansion rate (1/ell) d ell/dt by centered finite difference.
 
     A cross-check on the implicit ``alpha`` of :func:`equilibrium_size_at_t`:
-    three independent solves at t - step, t and t + step.
+    three solves at t - step, t and t + step from one zero-temperature solution.
     """
     t = _check_temperature(t)
     if step is None:
@@ -215,9 +215,10 @@ def expansion_coefficient(K: float, t: float, step: float | None = None) -> floa
         raise ValidationError(
             f"need t - step > 0 for a centered difference (t={t}, step={step})"
         )
-    ell_plus = _solve_ell(K, t + step).ell
-    ell_minus = _solve_ell(K, t - step).ell
-    ell_mid = _solve_ell(K, t).ell
+    seed = solve_equilibrium(K)
+    ell_plus = _solve_ell(K, t + step, seed).ell
+    ell_minus = _solve_ell(K, t - step, seed).ell
+    ell_mid = _solve_ell(K, t, seed).ell
     return (ell_plus - ell_minus) / (2.0 * step * ell_mid)
 
 
@@ -235,7 +236,7 @@ def thermal_sweep(K: float, t_grid) -> list[ThermalPoint]:
     points = []
     for t in grid:
         try:
-            points.append(equilibrium_size_at_t(K, t, _seed=seed))
+            points.append(_point(K, t, seed))
         except ZpboxError as exc:
             raise NumericalError(f"thermal sweep failed at t={t}: {exc}") from exc
     return points

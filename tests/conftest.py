@@ -45,7 +45,8 @@ def strain_bisection(K: float) -> float:
         x = Fraction(s)
         return k * x * (1 + x) ** 3 - 2
 
-    lo, hi = 0.0, min(2.0 / K, (2.0 / K) ** 0.25)
+    # 2**0.25 / K**0.25 stays finite where 2/K overflows (K = 5e-324)
+    lo, hi = 0.0, min(2.0 / K, 2.0**0.25 / K**0.25)
     while excess(hi) < 0:
         hi *= 2.0
     while True:

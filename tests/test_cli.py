@@ -286,6 +286,15 @@ def test_numerical_error_exit_code(monkeypatch, capsys):
     assert "synthetic solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_path_that_cannot_hold_outputs_is_one_error_line(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["equilibrium", "--K", "2", "--out", str(blocker / sub)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zpbox: error: ") and err.count("\n") == 1
+
+
 def test_formats_flag_selects_outputs(tmp_path):
     out = tmp_path / "jsononly"
     assert main(["thermal", "--K", "2", "--t-grid", "0,1", "--formats", "json", "--out", str(out)]) == 0
@@ -581,6 +590,9 @@ def test_range_grid_step_count_is_bounded(tmp_path, capsys):
     from zpbox.cli import _MAX_RANGE_STEPS, _parse_grid
 
     assert len(_parse_grid(f"0:{_MAX_RANGE_STEPS}:1")) == _MAX_RANGE_STEPS + 1
+    # a step below the float resolution of the values never advances them
+    with pytest.raises(UsageError, match="advance"):
+        _parse_grid("1e22:1e22:1")
     with pytest.raises(UsageError, match="--K-grid"):
         parse_scenario(["sweep", "--K-grid", f"1:{_MAX_RANGE_STEPS + 2}:1"])
     # rejected before any point is built, so this takes no memory

@@ -236,8 +236,17 @@ def test_minimize_oracle_finds_the_minimum_of_the_softest_springs(K):
     assert abs(minimize_oracle(K) - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("K", [1e8, 1e16, 1e100, 1.7976931348623157e308])
+def test_minimize_oracle_finds_the_minimum_of_the_stiffest_springs(K):
+    # y* is far below any absolute tolerance here, so only a relative one holds
+    expected = strain_bisection(K)
+    y = minimize_oracle(K)
+    assert y > 0.0
+    assert abs(y - expected) <= 1e-12 * expected
+
+
 def test_minimize_oracle_at_the_smallest_subnormal_stiffness():
-    expected = solve_equilibrium(5e-324).strain
+    expected = strain_bisection(5e-324)
     assert abs(minimize_oracle(5e-324) - expected) <= 1e-12 * expected
 
 

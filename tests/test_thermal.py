@@ -232,3 +232,6 @@ def test_thermal_sweep_solves_the_zero_temperature_equilibrium_once(monkeypatch)
     points = thermal_sweep(2.0, np.linspace(0.0, 5.0, 50))
     assert len(points) == 50
     assert calls == [2.0]
+    calls.clear()
+    expansion_coefficient(2.0, 1.0)
+    assert calls == [2.0]
