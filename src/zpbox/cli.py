@@ -299,7 +299,10 @@ def parse_scenario(argv, config_text: str | None = None) -> Scenario:
         path = Path(ns.config)
         if not path.is_file():
             raise UsageError(f"config file {ns.config!r} not found")
-        config_text = path.read_text()
+        try:
+            config_text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise UsageError(f"config file {ns.config!r} is not UTF-8 text") from None
     config = _parse_config_text(config_text, names) if config_text else {}
 
     fields = {}
@@ -354,6 +357,8 @@ def _validate_scenario(s: Scenario) -> None:
             raise UsageError("--y0-frac must lie in [0, 1)")
         if s.dt_factor <= 0:
             raise UsageError("--dt-factor must be positive")
+        if s.mu is not None and s.mu <= 0:
+            raise UsageError("--mu must be positive")
         if s.n_periods < 1:
             raise UsageError("--n-periods must be >= 1")
         try:
@@ -362,6 +367,8 @@ def _validate_scenario(s: Scenario) -> None:
             finite = False
         if not finite:
             raise UsageError("--n-periods times --dt-factor must be finite")
+        if s.K is not None and s.K > 0:
+            _time_step(s.K, _mass_ratio(s), s.dt_factor)
 
 
 def _check_grid(name, grid, minimum, strict_min=False) -> None:
@@ -393,10 +400,32 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
             "temperature_scale_K": reduced.temperature_scale,
         }
         return reduced.K, reduced.mu, scales
-    mu = s.mu
-    if mu is None and s.command == "dynamics":
-        mu = model.DEFAULT_MASS_RATIO
-    return s.K, mu, None
+    return s.K, _mass_ratio(s), None
+
+
+def _mass_ratio(s: Scenario) -> float | None:
+    """--mu as given; for dynamics without one, the default wall mass ratio."""
+    if s.mu is None and s.command == "dynamics":
+        return model.DEFAULT_MASS_RATIO
+    return s.mu
+
+
+def _time_step(K, mu, dt_factor):
+    """(equilibrium, omega, dt) of a dynamics run, dt = 2 pi/(dt_factor omega).
+
+    Raises UsageError where dt is 0 or inf: omega = sqrt(K'/mu) overflows
+    for a tiny mu, dt_factor omega overflows or underflows for an extreme
+    dt_factor.
+    """
+    sol = eq.solve_equilibrium(K)
+    omega = math.sqrt(sol.effective_stiffness / mu)
+    dt = 2.0 * math.pi / (dt_factor * omega)
+    if not 0.0 < dt < math.inf:
+        raise UsageError(
+            f"--mu {mu!r} with --dt-factor {dt_factor!r} gives no positive, "
+            f"finite time step 2*pi/(dt_factor*sqrt(K'/mu))"
+        )
+    return sol, omega, dt
 
 
 # rows formatted by one % operation; bounds the text held in memory at once
@@ -491,29 +520,27 @@ def _equilibrium(s: Scenario, K, mu):
 
 
 def _thermal(s: Scenario, K, mu):
-    points = therm.thermal_sweep(K, s.t_grid)
+    # the grid block by block, with thermal_sweep's arithmetic
+    blocks = list(therm._blocks(K, np.array(s.t_grid)))
     columns = {
-        "t": [p.t for p in points],
-        "ell": [p.ell_t for p in points],
-        "alpha": [p.alpha for p in points],
-        "mean_force": [p.mean_force for p in points],
-        "p1": [p.occupancies[0] for p in points],
-        "p2": [p.occupancies[1] for p in points],
+        "t": np.concatenate([b.t for b in blocks]),
+        "ell": np.concatenate([b.ell for b in blocks]),
+        "alpha": np.concatenate([b.alpha for b in blocks]),
+        "mean_force": np.concatenate([b.mean_force for b in blocks]),
+        "p1": np.concatenate([b.p[0] for b in blocks]),
+        "p2": np.concatenate([b.p[1] for b in blocks]),
     }
-    last = points[-1]
     headline = {
-        "t_max": last.t,
-        "ell_at_t_max": last.ell_t,
-        "alpha_at_t_max": last.alpha,
-        "mean_force_at_t_max": last.mean_force,
+        "t_max": float(columns["t"][-1]),
+        "ell_at_t_max": float(columns["ell"][-1]),
+        "alpha_at_t_max": float(columns["alpha"][-1]),
+        "mean_force_at_t_max": float(columns["mean_force"][-1]),
     }
     return headline, columns
 
 
 def _dynamics(s: Scenario, K, mu):
-    sol = eq.solve_equilibrium(K)
-    omega = math.sqrt(sol.effective_stiffness / mu)
-    dt = 2.0 * math.pi / (s.dt_factor * omega)
+    sol, omega, dt = _time_step(K, mu, s.dt_factor)
     n_steps = max(1, round(s.n_periods * s.dt_factor))
     traj = dyn.integrate(
         sol, mu, y0=s.y0_frac * sol.strain, v0=0.0, dt=dt, n_steps=n_steps

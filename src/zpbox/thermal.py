@@ -11,6 +11,9 @@ same bracketed Newton solve in the strain s = ell - 1 as the zero-
 temperature equilibrium, which is also the lower end of the bracket.  The
 expansion coefficient follows from implicit differentiation of that
 balance, with every term taken from the Boltzmann weights of the root.
+A temperature grid is solved as levels x points arrays in bounded blocks,
+one temperature as one point; no point depends on the others, and level
+sums pair adjacent levels (other orders differ by a few 1e-15 relative).
 
 Below t ~ 1 the ground state dominates and the strain saturates at its
 zero-point value; the expansion coefficient therefore vanishes at low t
@@ -19,16 +22,18 @@ box, so the coefficient is never negative here.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, ZpboxError
+from .errors import NumericalError, ValidationError
 from .equilibrium import StrainSolution, _bracketed_newton, solve_equilibrium
 from .spectrum import MAX_LEVEL, _check_size
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
 _MIN_LEVELS = 4
+_BLOCK_CELLS = 1 << 14  # level x point cells per block: memory not set by the grid
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,9 @@ class ThermalPoint:
     n_max: int
 
 
+_Block = namedtuple("_Block", "t ell p n_max mean_force alpha")  # p: levels x t
+
+
 def _check_temperature(t: float) -> float:
     t = float(t)
     if math.isnan(t) or t < 0.0:
@@ -50,19 +58,66 @@ def _check_temperature(t: float) -> float:
     return t
 
 
-def _n_levels(t: float, t_scaled: float) -> int:
-    if t_scaled == 0.0:
-        return _MIN_LEVELS
-    x = 1.0 / t_scaled  # level-spacing unit eps0'/t; inf if t_scaled is subnormal
-    if x == 0.0:
-        raise ValidationError(f"temperature t = {t!r} is too large to truncate")
-    n = int(math.sqrt(_TAIL_EXPONENT / x + 1.0)) + 1
-    n = max(n, _MIN_LEVELS)
-    if n > MAX_LEVEL:
-        raise ValidationError(
-            f"temperature t = {t!r} needs more than {MAX_LEVEL} levels"
-        )
-    return n
+def _states(t, ell):
+    """Boltzmann weights and wall-force moments at the points (t[j], ell[j]).
+
+    Returns (w, z, n_max, <F>, var(F_n)) with occupancies w/z, w as levels x
+    points: n_max levels, up to the first weight below e^-37 and at least
+    four, then zero rows.  n_max > MAX_LEVEL (inf where t ell^2 overflows)
+    flags a point that cannot be truncated; its w is cut short.  F_n = n^2 F_1
+    gives <F> = F_1 (1 + <m>) and var(F_n) = F_1^2 (<m^2> - <m>^2) for
+    m = n^2 - 1, 0 on the ground state: <m>^2 stays below 0.35 <m^2>.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t_scaled = ell * ell * t  # t over the level-spacing unit eps0' = 1/ell^2
+        # 1/t_scaled is inf at t = 0, which keeps four levels
+        n_max = np.floor(np.sqrt(_TAIL_EXPONENT / (1.0 / t_scaled) + 1.0)) + 1.0
+        n_max = np.maximum(n_max, _MIN_LEVELS)
+        n = np.arange(1.0, n_max[n_max <= MAX_LEVEL].max(initial=_MIN_LEVELS) + 1.0)
+        m = (n * n - 1.0)[:, None]
+        order = "F" if len(m) > len(t) else "C"  # memory along the longer axis
+        sums = np.empty((len(m), 3, len(t)), order=order)  # w, m w, m^2 w
+        # where exp(-3/t_scaled) underflows, every excited weight does as well
+        weights = np.exp(np.divide(-m, t_scaled, order=order), out=sums[:, 0])
+        weights[0] = 1.0  # 0/0 at t = 0
+        weights *= np.less_equal(n[:, None], n_max, order=order)
+        np.multiply(weights, m, out=sums[:, 1])
+        np.multiply(sums[:, 1], m, out=sums[:, 2])
+        z, m1, m2 = _sum_levels(sums)
+        m1, m2 = m1 / z, m2 / z
+        f1 = 2.0 * (1.0 / (ell * ell)) / ell  # wall_force(1, ell), bit for bit
+        return weights, z, n_max, f1 * (1.0 + m1), f1 * f1 * (m2 - m1 * m1)
+
+
+def _sum_levels(a):
+    """Sums over the first (level) axis, adding adjacent pairs of levels: the
+    pairing depends on the level index alone, so appended zero levels and
+    other points change no sum, and the error grows as log(levels)."""
+    while len(a) > 1:
+        h, odd = divmod(len(a), 2)
+        pairs = np.empty_like(a[: h + odd])  # in a's memory order
+        np.add(a[0 : 2 * h : 2], a[1 : 2 * h : 2], out=pairs[:h])
+        pairs[h:] = a[2 * h :]
+        a = pairs
+    return a[0]
+
+
+def _check(t, ell, n_max):
+    """Raise the ValidationError of the first point that cannot be truncated."""
+    bad = np.flatnonzero(n_max > MAX_LEVEL)
+    if bad.size:
+        t, ell = t[bad[0]].item(), ell[bad[0]].item()
+        reason = f"needs more than {MAX_LEVEL} levels"
+        if 1.0 / (ell * ell * t) == 0.0:
+            reason = "is too large to truncate"
+        raise ValidationError(f"temperature t = {t!r} {reason}")
+
+
+def _one_point(t: float, ell: float):
+    t, ell = np.array([_check_temperature(t)]), np.array([_check_size(ell)])
+    w, z, n_max, mean, _ = _states(t, ell)
+    _check(t, ell, n_max)
+    return w[:, 0] / z[0], mean.item()
 
 
 def occupancies(t: float, ell: float = 1.0) -> np.ndarray:
@@ -72,28 +127,7 @@ def occupancies(t: float, ell: float = 1.0) -> np.ndarray:
     four levels are always reported).  At t = 0 only the ground state is
     occupied.
     """
-    t = _check_temperature(t)
-    ell = _check_size(ell)
-    # t over the level-spacing unit eps0' = 1/ell^2; where the first excited
-    # weight exp(-3/t_scaled) underflows to 0, every other one does as well
-    t_scaled = ell * ell * t
-    n_max = _n_levels(t, t_scaled)
-    if t_scaled == 0.0 or math.exp(-3.0 / t_scaled) == 0.0:
-        p = np.zeros(n_max)
-        p[0] = 1.0
-        return p
-    n = np.arange(1, n_max + 1, dtype=float)
-    exponents = -(n * n - 1.0) / t_scaled
-    exponents[0] = 0.0
-    weights = np.exp(exponents)
-    return weights / weights.sum()
-
-
-def _level_forces(n_max: int, ell: float) -> np.ndarray:
-    n = np.arange(1, n_max + 1, dtype=float)
-    # per-level forces mirror wall_force's arithmetic exactly, so the t = 0
-    # reduction to the zero-point force is bitwise
-    return 2.0 * ((n * n) / (ell * ell)) / ell
+    return _one_point(t, ell)[0]
 
 
 def mean_wall_force(t: float, ell: float = 1.0) -> float:
@@ -102,71 +136,76 @@ def mean_wall_force(t: float, ell: float = 1.0) -> float:
     At t = 0 this is exactly the zero-point force wall_force(1, ell);
     thermal excitation only ever adds to it.
     """
-    p = occupancies(t, ell)
-    return float((p * _level_forces(len(p), ell)).sum())
+    return _one_point(t, ell)[1]
 
 
-@dataclass(frozen=True)
-class _State:
-    """Boltzmann weights and wall-force moments at one (t, ell)."""
+def _solve(seed: StrainSolution, t: np.ndarray) -> _Block:
+    """Roots of G(s) = K s - <F>(1 + s, t) in the strain s = ell - 1.
 
-    t: float
-    ell: float
-    p: np.ndarray
-    mean_force: float
-    force_variance: float  # var(F_n) over the occupancies
-
-    @property
-    def dforce_dell(self) -> float:
-        """d<F>/d ell = -3 <F>/ell + var(F_n)/t (t > 0)."""
-        return self.force_variance / self.t - 3.0 * self.mean_force / self.ell
-
-
-def _state(t: float, ell: float) -> _State:
-    p = occupancies(t, ell)
-    forces = _level_forces(len(p), ell)
-    mean = float((p * forces).sum())
-    dev = forces - mean
-    return _State(t, ell, p, mean, float((p * dev * dev).sum()))
-
-
-def _solve_ell(K: float, t: float, seed: StrainSolution) -> _State:
-    """Root of G(s) = K s - <F>(1 + s, t) in the strain s = ell - 1.
-
-    <F> falls as ell grows, so G increases.  The zero-temperature strain
-    s0 has G(s0) <= 0 because heat only adds force, and G(<F>(1 + s0)/K)
-    >= 0, which closes the bracket.  The Newton step
-    s <- (<F> - s d<F>/d ell) / (K - d<F>/d ell) is a weighted mean of s
-    and <F>/K, so it needs no subtraction and stays inside the bracket.
-    ``seed`` is the zero-temperature solution at K.
+    <F> falls as ell grows, so G increases.  The zero-temperature strain s0
+    (``seed``) has G(s0) <= 0 as heat only adds force, and G(<F>(1 + s0)/K)
+    >= 0 closes each point's bracket.  The Newton step s <- (<F> - s d<F>/d
+    ell) / (K - d<F>/d ell), d<F>/d ell = var(F_n)/t - 3 <F>/ell, is a
+    weighted mean of s and <F>/K, so it stays inside the bracket.  An iterate
+    that cannot be truncated ends its own point's solve, failing it there.
     """
-    last = _state(t, seed.ell)
-    if t == 0.0 or K * seed.strain >= last.mean_force:
-        return last  # heat adds no force at float resolution
+    strain = np.full(t.shape, seed.strain)
+    _, _, n_max, mean, var = _states(t, 1.0 + strain)
+    # heat adds no force at float resolution, or the point fails at s0 already
+    hot = (t > 0.0) & (seed.K * seed.strain < mean) & (n_max <= MAX_LEVEL)
+    if hot.any():
+        t_hot = t[hot]
+        at_seed = [(n_max[hot], mean[hot], var[hot])]  # the solve starts at s0
 
-    def newton(s: float) -> tuple[float, float]:
-        nonlocal last
-        if 1.0 + s != last.ell:
-            last = _state(t, 1.0 + s)
-        slope = last.dforce_dell
-        return K * s - last.mean_force, (last.mean_force - s * slope) / (K - slope)
+        def newton(s):  # a point that cannot be truncated stops where it is
+            ell = 1.0 + s
+            n_max, mean, var = at_seed.pop() if at_seed else _states(t_hot, ell)[2:]
+            slope = var / t_hot - 3.0 * mean / ell
+            step = (mean - s * slope) / (seed.K - slope)
+            ok = n_max <= MAX_LEVEL
+            return np.where(ok, seed.K * s - mean, 0.0), np.where(ok, step, s)
 
-    hi = last.mean_force / K
-    s = _bracketed_newton(newton, seed.strain, hi, seed.strain, scale=1.0)
-    if 1.0 + s != last.ell:
-        last = _state(t, 1.0 + s)
-    return last
+        hi = mean[hot] / seed.K
+        strain[hot] = _bracketed_newton(newton, seed.strain, hi, seed.strain, scale=1.0)
+    ell = 1.0 + strain
+    w, z, n_max, mean, var = _states(t, ell)
+    # alpha = (d<F>/dt) / [ell (K - d<F>/d ell)], d<F>/dt = cov(F_n, E_n)/t^2 =
+    # (ell/2) var(F_n)/t^2 as E_n = ell F_n/2; NaN where t - default step <= 0
+    with np.errstate(all="ignore"):
+        alpha = 0.5 * var / (t * t * (seed.K - (var / t - 3.0 * mean / ell)))
+    alpha = np.where(t - _default_step(t) > 0.0, alpha, math.nan)
+    return _Block(t, ell, w / z, n_max, mean, alpha)
 
 
-def _alpha(K: float, state: _State) -> float:
-    """(1/ell) d ell/dt by implicit differentiation of K (ell - 1) = <F>.
+def _blocks(K: float, t: np.ndarray):
+    """Solve a checked, increasing grid t block by block; yields each _Block.
 
-    alpha = (d<F>/dt) / [ell (K - d<F>/d ell)] with d<F>/dt =
-    cov(F_n, E_n)/t^2.  E_n = ell F_n / 2 turns the covariance into
-    (ell/2) var(F_n), and the factor ell cancels.
-    """
-    t = state.t
-    return 0.5 * state.force_variance / (t * t * (K - state.dforce_dell))
+    Levels grow as ell sqrt(t), ell(t) at most as sqrt(t), so a point needs
+    about n_prev t/t_prev levels, n_prev those of the last root before it."""
+    seed = solve_equilibrium(K)  # the same at every t; validates K
+    start, t_prev, n_prev = 0, 0.0, _MIN_LEVELS
+    while start < len(t):
+        ahead = t[start : start + _BLOCK_CELLS // _MIN_LEVELS]
+        with np.errstate(all="ignore"):
+            cells = np.arange(1, len(ahead) + 1) * (n_prev * ahead / t_prev)
+        stop = start + max(1, np.count_nonzero(cells <= _BLOCK_CELLS))
+        block = _solve(seed, t[start:stop])
+        try:
+            _check(block.t, block.ell, block.n_max)
+        except ValidationError as exc:
+            t_bad = block.t[block.n_max > MAX_LEVEL][0]
+            raise NumericalError(f"thermal sweep failed at t={t_bad}: {exc}") from exc
+        yield block
+        start, t_prev, n_prev = stop, block.t[-1], block.n_max[-1]
+
+
+def _points(block: _Block) -> list[ThermalPoint]:
+    columns = (c.tolist() for c in block._replace(p=block.p.T))
+    # an undefined alpha is the one math.nan, so equal points compare equal
+    return [
+        ThermalPoint(t, ell, tuple(p[: int(n)]), f, a if a == a else math.nan, int(n))
+        for t, ell, p, n, f, a in zip(*columns)
+    ]
 
 
 def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
@@ -178,47 +217,33 @@ def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
     differentiation with the same Boltzmann weights, and is NaN where the
     finite-difference cross-check with the default step would cross t = 0.
     """
-    return _point(K, _check_temperature(t), solve_equilibrium(K))
+    t = _check_temperature(t)
+    block = _solve(solve_equilibrium(K), np.array([t]))
+    _check(block.t, block.ell, block.n_max)
+    return _points(block)[0]
 
 
-def _point(K: float, t: float, seed: StrainSolution) -> ThermalPoint:
-    """ThermalPoint at a checked t, from the zero-temperature solution at K."""
-    state = _solve_ell(K, t, seed)
-    alpha = _alpha(K, state) if t - _default_step(t) > 0.0 else math.nan
-    return ThermalPoint(
-        t=t,
-        ell_t=state.ell,
-        occupancies=tuple(float(v) for v in state.p),
-        mean_force=state.mean_force,
-        alpha=alpha,
-        n_max=len(state.p),
-    )
-
-
-def _default_step(t: float) -> float:
-    return max(1e-3, t / 100.0)
+def _default_step(t):
+    return np.maximum(1e-3, t / 100.0)
 
 
 def expansion_coefficient(K: float, t: float, step: float | None = None) -> float:
     """Relative expansion rate (1/ell) d ell/dt by centered finite difference.
 
     A cross-check on the implicit ``alpha`` of :func:`equilibrium_size_at_t`:
-    three solves at t - step, t and t + step from one zero-temperature solution.
+    one solve of the three points t - step, t and t + step.
     """
     t = _check_temperature(t)
-    if step is None:
-        step = _default_step(t)
-    step = float(step)
+    step = float(_default_step(t) if step is None else step)
     if not math.isfinite(step) or step <= 0.0:
         raise ValidationError(f"step must be positive and finite, got {step!r}")
     if not t - step > 0.0:
         raise ValidationError(
             f"need t - step > 0 for a centered difference (t={t}, step={step})"
         )
-    seed = solve_equilibrium(K)
-    ell_plus = _solve_ell(K, t + step, seed).ell
-    ell_minus = _solve_ell(K, t - step, seed).ell
-    ell_mid = _solve_ell(K, t, seed).ell
+    block = _solve(solve_equilibrium(K), np.array([t - step, t, t + step]))
+    _check(block.t, block.ell, block.n_max)
+    ell_minus, ell_mid, ell_plus = block.ell.tolist()
     return (ell_plus - ell_minus) / (2.0 * step * ell_mid)
 
 
@@ -232,11 +257,4 @@ def thermal_sweep(K: float, t_grid) -> list[ThermalPoint]:
             raise ValidationError(f"grid temperatures must be finite and >= 0, got {t!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("temperature grid must be strictly increasing")
-    seed = solve_equilibrium(K)  # the same at every t; validates K
-    points = []
-    for t in grid:
-        try:
-            points.append(_point(K, t, seed))
-        except ZpboxError as exc:
-            raise NumericalError(f"thermal sweep failed at t={t}: {exc}") from exc
-    return points
+    return [point for block in _blocks(K, np.array(grid)) for point in _points(block)]

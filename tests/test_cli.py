@@ -74,6 +74,9 @@ def test_grid_endpoint_inclusion_within_half_step():
         ["dynamics", "--K", "2", "--y0-frac", "1.5"],
         ["dynamics", "--K", "2", "--n-periods", "0"],
         ["dynamics", "--K", "2", "--mu", "5", "--wall-mass", "1e-27"],
+        ["dynamics", "--K", "2", "--mu", "1e-320"],  # K'/mu overflows
+        ["dynamics", "--K", "2", "--mu", "0"],
+        ["dynamics", "--K", "2", "--mu", "-5"],
         ["equilibrium", "--K", "2", "--formats", "yaml"],
         ["spectrum", "--ell", "-1"],
         ["spectrum", "--n-max", "1000001"],  # above spectrum.MAX_LEVEL
@@ -82,6 +85,21 @@ def test_grid_endpoint_inclusion_within_half_step():
 def test_usage_errors(argv):
     with pytest.raises(UsageError):
         parse_scenario(argv)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mu", "1e-320"],
+        ["--mu", "1e-300", "--dt-factor", "1e200"],
+        ["--dt-factor", "1e-320"],
+    ],
+)
+def test_time_step_that_vanishes_names_mu_and_dt_factor(flags):
+    # sqrt(K'/mu) overflows, or dt_factor times it does (2 pi/(...) is 0),
+    # or it underflows (2 pi/(...) is inf)
+    with pytest.raises(UsageError, match="--mu .* --dt-factor"):
+        parse_scenario(["dynamics", "--K", "2", *flags])
 
 
 def test_config_supplies_defaults_and_flags_win():
@@ -149,6 +167,28 @@ def test_equilibrium_at_extreme_stiffness(tmp_path, capsys, K):
     expected = strain_bisection(float(K))
     assert abs(data["strain"] - expected) <= 4.0 * math.ulp(expected)
     assert data["residual"] < 1e-12
+
+
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path):
+    # a fresh process, so an uncaught decode error would show as a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    src = str(Path(zpbox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    argv = ["equilibrium", "--config", str(cfg), "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "zpbox.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"zpbox: error: config file {str(cfg)!r} is not UTF-8 text\n"
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 def test_thermal_far_below_the_level_spacing_writes_nothing_to_stderr(tmp_path):

@@ -235,3 +235,89 @@ def test_thermal_sweep_solves_the_zero_temperature_equilibrium_once(monkeypatch)
     calls.clear()
     expansion_coefficient(2.0, 1.0)
     assert calls == [2.0]
+
+
+def _pairwise_sum(values):
+    """Reference for the kernel's level sums: adjacent pairs, level by level."""
+    values = list(values)
+    while len(values) > 1:
+        pairs = [a + b for a, b in zip(values[0::2], values[1::2])]
+        values = pairs + values[-1:] if len(values) % 2 else pairs
+    return values[0]
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 200.0])
+def test_sweep_rows_equal_single_point_solves_bit_for_bit(K, monkeypatch):
+    import zpbox.thermal
+
+    grid = np.linspace(0.0, 50.0, 41).tolist()
+    expected = [equilibrium_size_at_t(K, t) for t in grid]
+    assert thermal_sweep(K, grid) == expected
+    assert thermal_sweep(K, grid[1::3]) == expected[1::3]
+    assert thermal_sweep(K, grid[40:]) == expected[40:]
+    monkeypatch.setattr(zpbox.thermal, "_BLOCK_CELLS", 1)  # one point per block
+    assert thermal_sweep(K, grid) == expected
+
+
+def test_kernel_sums_follow_the_reference_pairing():
+    from zpbox.thermal import _states
+
+    t = np.array([0.0, 0.05, 1.0, 7.5, 40.0, 3e4])
+    ell = np.array([1.38, 1.2, 1.5, 2.0, 6.0, 30.0])
+    # a one-point call, then all six: 4 to 32 000 levels, zero-padded
+    for cols in (slice(2, 3), slice(None)):
+        w_all, z_all, n_max, mean, var = _states(t[cols], ell[cols])
+        p = w_all / z_all
+        for j, (tj, lj) in enumerate(zip(t[cols].tolist(), ell[cols].tolist())):
+            m = np.arange(1.0, n_max[j] + 1.0) ** 2 - 1.0
+            w = np.exp(-m / (lj * lj * tj)) if tj else (m == 0.0) * 1.0
+            z = _pairwise_sum(w.tolist())
+            m1 = _pairwise_sum((w * m).tolist()) / z
+            m2 = _pairwise_sum((w * m * m).tolist()) / z
+            f1 = wall_force(1, lj)
+            assert p[: m.size, j].tolist() == (w / z).tolist()
+            assert not p[m.size :, j].any()
+            assert mean[j] == f1 * (1.0 + m1)
+            assert var[j] == f1 * f1 * (m2 - m1 * m1)
+            # and both agree with the direct two-pass moments of F_n
+            forces = [2.0 * k * k / lj**3 for k in range(1, m.size + 1)]
+            pj = p[: m.size, j].tolist()
+            direct = math.fsum(a * f for a, f in zip(pj, forces))
+            assert mean[j] == pytest.approx(direct, rel=1e-14)
+            spread = math.fsum(a * (f - direct) ** 2 for a, f in zip(pj, forces))
+            assert var[j] == pytest.approx(spread, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("K, t, step", [(2.0, 1.0, None), (0.5, 20.0, 0.3)])
+def test_expansion_coefficient_is_its_three_single_point_solves(K, t, step):
+    h = max(1e-3, t / 100.0) if step is None else step
+    minus, mid, plus = (equilibrium_size_at_t(K, x).ell_t for x in (t - h, t, t + h))
+    assert expansion_coefficient(K, t, step) == (plus - minus) / (2.0 * h * mid)
+
+
+def test_sweep_names_the_first_of_two_failing_temperatures():
+    grid = [0.0, 1.0, 1e305, 1e306]  # the last two fail, each in its own block
+    with pytest.raises(NumericalError, match=r"failed at t=1e\+305: temperature t = "):
+        thermal_sweep(2.0, grid)
+
+
+def test_failing_point_leaves_the_points_solved_beside_it(monkeypatch):
+    import zpbox.thermal
+
+    # one array holds both; at t = 1e4 the box needs ~840 levels at its
+    # zero-temperature size and ~43 000 at its root, above the lowered cap
+    expected = equilibrium_size_at_t(2.0, 1.0).ell_t
+    monkeypatch.setattr(zpbox.thermal, "MAX_LEVEL", 10_000)
+    block = zpbox.thermal._solve(solve_equilibrium(2.0), np.array([1.0, 1e4]))
+    assert block.ell[0] == expected
+    message = "temperature t = 10000.0 needs more than 10000 levels"
+    with pytest.raises(ValidationError, match=message):
+        zpbox.thermal._check(block.t, block.ell, block.n_max)
+    with pytest.raises(ValidationError, match=message):
+        equilibrium_size_at_t(2.0, 1e4)
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 200.0])
+def test_dense_sweep_matches_the_fixed_point_oracle(K):
+    for point in thermal_sweep(K, np.linspace(0.0, 5.0, 41)):
+        assert point.ell_t == pytest.approx(fixed_point_ell(K, point.t), rel=1e-12)
