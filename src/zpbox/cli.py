@@ -221,7 +221,10 @@ _FLAGS = {
         "initial displacement as a fraction of the strain, in [0, 1)",
     ),
     "dt-factor": _Flag(
-        "dt_factor", *_FLOAT, 1000.0, "steps per small-oscillation period"
+        "dt_factor",
+        *_FLOAT,
+        float(dyn._STEPS_PER_PERIOD),
+        "steps per small-oscillation period",
     ),
     "n-periods": _Flag(
         "n_periods", *_INT, 10, "number of small-oscillation periods to integrate"
@@ -369,6 +372,8 @@ def _validate_scenario(s: Scenario) -> None:
             raise UsageError("--n-periods times --dt-factor must be finite")
         if s.K is not None and s.K > 0:
             _time_step(s.K, _mass_ratio(s), s.dt_factor)
+        if s.dt_factor <= math.pi:  # omega dt = 2 pi/dt_factor: Verlet needs < 2
+            raise UsageError("--dt-factor must exceed pi")
 
 
 def _check_grid(name, grid, minimum, strict_min=False) -> None:
@@ -572,18 +577,16 @@ def _dynamics(s: Scenario, K, mu):
 
 
 def _sweep(s: Scenario, K, mu):
-    # the whole grid in one array solve, with solve_equilibrium's arithmetic
+    # the whole grid in one array solve, by solve_equilibrium's own function
     k_grid = np.array(s.k_grid)
-    strain = eq._solve_strain(k_grid)
-    ell = 1.0 + strain
-    exact, first = eq._binding(k_grid, strain)
+    sol = eq._equilibria(k_grid)
     columns = {
         "K": k_grid,
-        "ell": ell,
-        "strain": strain,
-        "binding_exact": exact,
-        "binding_first_order": first,
-        "K_prime": eq._stiffened(k_grid, ell),
+        "ell": sol["ell"],
+        "strain": sol["strain"],
+        "binding_exact": sol["binding_exact"],
+        "binding_first_order": sol["binding_first_order"],
+        "K_prime": sol["effective_stiffness"],
     }
     headline = {
         "n_points": len(k_grid),

@@ -39,7 +39,7 @@ class Trajectory:
     eta: np.ndarray
     velocity: np.ndarray
     particle_energy: np.ndarray  # 1/(ell + eta)^2
-    strain_energy: np.ndarray  # (K/2)(ell - 1 + eta)^2
+    strain_energy: np.ndarray  # (K/2)(strain + eta)^2
     kinetic_energy: np.ndarray  # (mu/2) v^2
     total_energy: np.ndarray
 
@@ -57,14 +57,17 @@ def restoring_force(y: float, sol: StrainSolution) -> float:
     return 2.0 / size**3 - sol.K * (sol.strain + y)
 
 
-def _verlet_kernel(ell, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel_out):
+def _verlet_kernel(ell, strain, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel_out):
     """Kick-drift-kick Verlet; records every stride-th step plus the last.
+
+    The spring force is K (strain + y), from the solved strain: at large K
+    the strain is far below the float resolution of ell - 1.
 
     Returns (number of samples written, collapse step index or -1).
     """
     y = y0
     v = v0
-    a = (2.0 / (ell + y) ** 3 - K * (ell - 1.0 + y)) / mu
+    a = (2.0 / (ell + y) ** 3 - K * (strain + y)) / mu
     eta_out[0] = y
     vel_out[0] = v
     k = 1
@@ -73,7 +76,7 @@ def _verlet_kernel(ell, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel_out):
         y = y + dt * v_half
         if ell + y <= 0.0:
             return k, i
-        a = (2.0 / (ell + y) ** 3 - K * (ell - 1.0 + y)) / mu
+        a = (2.0 / (ell + y) ** 3 - K * (strain + y)) / mu
         v = v_half + 0.5 * dt * a
         if i % stride == 0 or i == n_steps:
             eta_out[k] = y
@@ -136,31 +139,30 @@ def integrate(
     if record_every < 1:
         raise ValidationError(f"record_every must be >= 1, got {record_every}")
 
-    n_rec = n_steps // record_every + 1
-    if n_steps % record_every:
-        n_rec += 1
     try:
-        eta = np.empty(n_rec)
-        vel = np.empty(n_rec)
+        # sample k is taken after step k * record_every, the last after n_steps
+        steps = np.arange(0, n_steps + record_every, record_every)
+        steps[-1] = n_steps
+        eta = np.empty(len(steps))
+        vel = np.empty(len(steps))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
-        raise ZpboxError(f"cannot allocate a trajectory of {n_rec} samples") from None
+        raise ZpboxError(
+            f"cannot allocate a trajectory of at least "
+            f"{n_steps // record_every + 1} samples"
+        ) from None
     written, collapse_step = _verlet_kernel(
-        sol.ell, sol.K, mu, y0, v0, dt, n_steps, record_every, eta, vel
+        sol.ell, sol.strain, sol.K, mu, y0, v0, dt, n_steps, record_every, eta, vel
     )
     if collapse_step >= 0:
         raise NumericalError(f"box collapse at step {collapse_step}")
-    assert written == n_rec
+    assert written == len(steps)
 
-    steps = np.arange(0, n_steps + 1, record_every, dtype=np.int64)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    times = steps * dt
     sizes = sol.ell + eta
     particle = 1.0 / (sizes * sizes)
     strain = 0.5 * sol.K * (sol.strain + eta) ** 2
     kinetic = 0.5 * mu * vel * vel
     return Trajectory(
-        times=times,
+        times=steps * dt,
         eta=eta,
         velocity=vel,
         particle_energy=particle,

@@ -175,21 +175,6 @@ def binding_energy(sol: StrainSolution) -> tuple[float, float]:
     return sol.binding_exact, sol.binding_first_order
 
 
-def _binding(K, s):
-    r = 1.0 / (1.0 + s)
-    # 1/ell^2 - 1 written as -s(s+2)/ell^2 to avoid cancellation at tiny s
-    exact = 0.5 * s * (K * s) - s * (s + 2.0) * r * r
-    # powers as products, which numpy and libm round alike
-    first = -s * (r * r * r)
-    return exact, first
-
-
-def _stiffened(K, ell):
-    # 6/ell^4 as 6 (1/ell)^4: ell^4 overflows for the softest springs
-    q = 1.0 / ell
-    return K + 6.0 * ((q * q) * (q * q))
-
-
 def effective_stiffness(sol: StrainSolution) -> float:
     """Curvature K' = K + 6/ell^4 of the total energy at the strained minimum.
 
@@ -211,19 +196,27 @@ def solve_equilibrium(K: float) -> StrainSolution:
     the result.
     """
     K = _check_stiffness(K)
+    return StrainSolution(K=K, **_equilibria(K))
+
+
+def _equilibria(K):
+    """The StrainSolution fields but K, for a float or elementwise for an array."""
     s = _solve_strain(K)
     ell = 1.0 + s
-    balance = 2.0 * (1.0 / ell) ** 3
-    exact, first = _binding(K, s)
-    return StrainSolution(
-        K=K,
+    r = 1.0 / ell
+    balance = 2.0 * r**3
+    energy = 0.5 * s * (K * s)
+    return dict(
         ell=ell,
         strain=s,
         residual=abs(K * s - balance) / balance,
-        binding_exact=exact,
-        binding_first_order=first,
-        strain_energy=0.5 * s * (K * s),
-        effective_stiffness=_stiffened(K, ell),
+        # 1/ell^2 - 1 written as -s(s+2)/ell^2 to avoid cancellation at tiny s
+        binding_exact=energy - s * (s + 2.0) * r * r,
+        # powers as products, which numpy and libm round alike
+        binding_first_order=-s * (r * r * r),
+        strain_energy=energy,
+        # 6/ell^4 as 6 (1/ell)^4: ell^4 overflows for the softest springs
+        effective_stiffness=K + 6.0 * ((r * r) * (r * r)),
     )
 
 

@@ -80,6 +80,12 @@ def test_grid_endpoint_inclusion_within_half_step():
         ["equilibrium", "--K", "2", "--formats", "yaml"],
         ["spectrum", "--ell", "-1"],
         ["spectrum", "--n-max", "1000001"],  # above spectrum.MAX_LEVEL
+        # omega dt = 2 pi/dt_factor at or past Verlet's stability limit of 2
+        ["dynamics", "--K", "2", "--dt-factor", "2"],
+        ["dynamics", "--K", "2", "--dt-factor", "3"],
+        ["dynamics", "--K", "2", "--dt-factor", "3.14159"],
+        ["dynamics", "--particle-mass", "9.1e-31", "--box-size", "1e-9"]
+        + ["--spring-stiffness", "0.06", "--dt-factor", "3"],
     ],
 )
 def test_usage_errors(argv):

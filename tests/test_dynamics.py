@@ -62,6 +62,18 @@ def test_rest_at_equilibrium_stays_fixed(sol2):
     assert np.ptp(traj.total_energy) <= 1e-15 * traj.total_energy[0]
 
 
+@pytest.mark.parametrize("K", [1e8, 1e12, 1e14])
+def test_stiff_spring_moves_about_the_solved_strain(K):
+    # here the strain is far below the float resolution of ell - 1, so a
+    # spring force formed from ell would push the box off its equilibrium
+    sol = solve_equilibrium(K)
+    rest = integrate(sol, MU, y0=0.0, n_steps=20_000)
+    assert np.abs(rest.eta).max() <= 1e-12 * sol.strain
+    y0 = 1e-4 * sol.strain
+    traj = integrate(sol, MU, y0=y0, n_steps=20_000)
+    assert abs(traj.eta.mean()) <= 1e-3 * y0
+
+
 def test_integrate_validation(sol2):
     with pytest.raises(DomainError):
         integrate(sol2, MU, y0=sol2.strain)
@@ -89,13 +101,19 @@ def test_integration_is_deterministic(sol2):
     assert np.array_equal(a.total_energy, b.total_energy)
 
 
-def test_record_stride_subsamples_the_same_path(sol2):
+# a stride of 1, one that leaves a remainder, one that divides n_steps and
+# one longer than the run
+@pytest.mark.parametrize("record_every", [1, 7, 100, 1000])
+def test_record_stride_subsamples_the_same_path(sol2, record_every):
     full = integrate(sol2, MU, y0=1e-3 * sol2.strain, n_steps=100)
-    strided = integrate(sol2, MU, y0=1e-3 * sol2.strain, n_steps=100, record_every=7)
-    steps = list(range(0, 101, 7)) + [100]
+    strided = integrate(
+        sol2, MU, y0=1e-3 * sol2.strain, n_steps=100, record_every=record_every
+    )
+    steps = sorted({*range(0, 100, record_every), 100})
     assert len(strided.eta) == len(steps)
     assert strided.times[-1] == full.times[-1]
     for k, step in enumerate(steps):
+        assert strided.times[k] == full.times[step]
         assert strided.eta[k] == full.eta[step]
         assert strided.velocity[k] == full.velocity[step]
 
