@@ -419,12 +419,14 @@ def _time_step(K, mu, dt_factor):
     """(equilibrium, omega, dt) of a dynamics run, dt = 2 pi/(dt_factor omega).
 
     Raises UsageError where dt is 0 or inf: omega = sqrt(K'/mu) overflows
-    for a tiny mu, dt_factor omega overflows or underflows for an extreme
-    dt_factor.
+    for a tiny mu and underflows to 0 for a huge one, dt_factor omega
+    overflows or underflows for an extreme dt_factor.  The product is
+    checked before it divides, so a 0 never reaches the division.
     """
     sol = eq.solve_equilibrium(K)
     omega = math.sqrt(sol.effective_stiffness / mu)
-    dt = 2.0 * math.pi / (dt_factor * omega)
+    rate = dt_factor * omega
+    dt = 2.0 * math.pi / rate if rate > 0.0 else math.inf
     if not 0.0 < dt < math.inf:
         raise UsageError(
             f"--mu {mu!r} with --dt-factor {dt_factor!r} gives no positive, "

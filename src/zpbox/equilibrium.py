@@ -21,7 +21,6 @@ oscillations.
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -250,8 +249,8 @@ def minimize_oracle(K: float) -> float:
     convex on y > -1 (E'' = 6/(1+y)^4 + K > 0) and falls at 0 (E'(0) = -2);
     K y* (1 + y*)^3 = 2 gives y* < 2/K and y* < (2/K)^(1/4), so y_max, twice
     the smaller bound, brackets the one minimum for every K.  Energies are
-    compared exactly, in rational arithmetic, because in double precision
-    the well is numerically flat near the minimum.
+    compared exactly, as cross-multiplied integer ratios, because in double
+    precision the well is numerically flat near the minimum.
     """
     K = _check_stiffness(K)
     y_max = 2.0 * min(2.0 / K, _FOURTH_ROOT_OF_2 / math.sqrt(math.sqrt(K)))
@@ -264,19 +263,27 @@ def _golden_section(K: float, a: float, b: float) -> float:
     E is unimodal on the bracket, so each step keeps the minimum inside it
     (Brent 1973, ch. 5).  Stops once b - a <= _GOLDEN_TOL * b, or earlier
     where the abscissae reach float resolution.
-    """
-    half_k = Fraction(K) / 2
 
-    def f(y: float) -> Fraction:
-        x = Fraction(y)
-        return 1 / (1 + x) ** 2 + half_k * x * x
+    Energies are compared exactly, as cross-multiplied integer ratios: with
+    y = p/q and K = m/k, E(y) = (2k q^4 + m p^2 (p+q)^2) / (2k q^2 (p+q)^2),
+    carried as an unreduced (numerator, denominator) pair of ints with a
+    positive denominator, and fc < fd is decided as n_c d_d < n_d d_c.
+    """
+    m, k = K.as_integer_ratio()
+    two_k = 2 * k
+
+    def f(y: float) -> tuple[int, int]:
+        p, q = y.as_integer_ratio()
+        q2 = q * q
+        s2 = (p + q) * (p + q)
+        return two_k * q2 * q2 + m * p * p * s2, two_k * q2 * s2
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > _GOLDEN_TOL * b and a < c < d < b:
-        if fc < fd:
+        if fc[0] * fd[1] < fd[0] * fc[1]:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
             fc = f(c)

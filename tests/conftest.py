@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own solvers: the quartic root
 comes from plain bisection, integrals from scipy quadrature called
-directly, so the production code is checked against a separate route.
+directly, the golden-section minimum from Fraction arithmetic, so the
+production code is checked against a separate route.
 """
 
 import math
@@ -57,6 +58,37 @@ def strain_bisection(K: float) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def golden_section_fraction(K: float) -> float:
+    """The energy minimum y* by golden section, energies as Fractions.
+
+    The library's ``minimize_oracle`` search written out with
+    ``fractions.Fraction`` energies: the same bracket, tolerance, float
+    abscissae and stopping rule, so an exact comparison done any other way
+    must return the same float, bit for bit.
+    """
+    half_k = Fraction(K) / 2
+
+    def energy(y: float) -> Fraction:
+        x = Fraction(y)
+        return 1 / (1 + x) ** 2 + half_k * x * x
+
+    a, b = 0.0, 2.0 * min(2.0 / K, 2.0**0.25 / math.sqrt(math.sqrt(K)))
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = energy(c), energy(d)
+    while b - a > 1e-12 * b and a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = energy(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = energy(d)
+    return (a + b) / 2
 
 
 def quad_strict(f, a: float, b: float, breakpoints=None) -> float:

@@ -96,16 +96,19 @@ def test_usage_errors(argv):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--mu", "1e-320"],
-        ["--mu", "1e-300", "--dt-factor", "1e200"],
-        ["--dt-factor", "1e-320"],
+        ["--K", "2", "--mu", "1e-320"],
+        ["--K", "2", "--mu", "1e-300", "--dt-factor", "1e200"],
+        ["--K", "2", "--dt-factor", "1e-320"],
+        # K'/mu underflows, so omega and dt_factor omega are 0
+        ["--K", "1.2574184655767058e-28", "--mu", "2.0360345102886298e+296"]
+        + ["--dt-factor", "4"],
     ],
 )
 def test_time_step_that_vanishes_names_mu_and_dt_factor(flags):
     # sqrt(K'/mu) overflows, or dt_factor times it does (2 pi/(...) is 0),
     # or it underflows (2 pi/(...) is inf)
     with pytest.raises(UsageError, match="--mu .* --dt-factor"):
-        parse_scenario(["dynamics", "--K", "2", *flags])
+        parse_scenario(["dynamics", *flags])
 
 
 def test_config_supplies_defaults_and_flags_win():
@@ -503,7 +506,8 @@ def test_import_leaves_scipy_and_mpmath_unloaded(statement):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         f"import sys; {statement}; "
-        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'mpmath', 'fractions', 'decimal') "
+        "if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -659,6 +663,10 @@ def test_range_grid_step_count_is_bounded(tmp_path, capsys):
         ["spectrum", "--ell", "1e-150"],
         ["equilibrium", "--particle-mass", "1e-300", "--box-size", "1e-300"]
         + ["--spring-stiffness", "1"],
+        # K'/mu underflows: omega is 0, so there is no finite time step
+        ["dynamics", "--particle-mass", "1", "--box-size"]
+        + ["1.5870818999450621e-68", "--spring-stiffness", "1", "--wall-mass"]
+        + ["1.8718912450931243e+120", "--dt-factor", "10"],
     ],
 )
 def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):

@@ -4,7 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import logspace_grid, quartic_root, strain_bisection
+from conftest import (
+    golden_section_fraction,
+    logspace_grid,
+    quartic_root,
+    strain_bisection,
+)
 from zpbox import (
     DomainError,
     ValidationError,
@@ -248,6 +253,17 @@ def test_minimize_oracle_finds_the_minimum_of_the_stiffest_springs(K):
 def test_minimize_oracle_at_the_smallest_subnormal_stiffness():
     expected = strain_bisection(5e-324)
     assert abs(minimize_oracle(5e-324) - expected) <= 1e-12 * expected
+
+
+def test_minimize_oracle_equals_the_fraction_golden_section_bit_for_bit():
+    rng = random.Random(11)
+    grid = [10.0**e for e in range(-300, 301, 25)]
+    grid += [5e-324, 1.7976931348623157e308]
+    grid += [10.0 ** rng.uniform(-2, 8) for _ in range(50)]
+    mismatches = [
+        K for K in grid if minimize_oracle(K) != golden_section_fraction(K)
+    ]
+    assert not mismatches, mismatches[:5]
 
 
 @pytest.mark.parametrize("K", [0.5, 2.0, 1e6, 1e-200, 1e200])
