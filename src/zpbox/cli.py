@@ -22,6 +22,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -371,7 +372,7 @@ def _validate_scenario(s: Scenario) -> None:
         if not finite:
             raise UsageError("--n-periods times --dt-factor must be finite")
         if s.K is not None and s.K > 0:
-            _time_step(s.K, _mass_ratio(s), s.dt_factor)
+            _time_step(s, s.K, _mass_ratio(s))
         if s.dt_factor <= math.pi:  # omega dt = 2 pi/dt_factor: Verlet needs < 2
             raise UsageError("--dt-factor must exceed pi")
 
@@ -415,21 +416,30 @@ def _mass_ratio(s: Scenario) -> float | None:
     return s.mu
 
 
-def _time_step(K, mu, dt_factor):
+def _time_step(s: Scenario, K, mu):
     """(equilibrium, omega, dt) of a dynamics run, dt = 2 pi/(dt_factor omega).
 
     Raises UsageError where dt is 0 or inf: omega = sqrt(K'/mu) overflows
     for a tiny mu and underflows to 0 for a huge one, dt_factor omega
     overflows or underflows for an extreme dt_factor.  The product is
-    checked before it divides, so a 0 never reaches the division.
+    checked before it divides, so a 0 never reaches the division.  The
+    message names the mass flags the user gave: --mu, or on the SI route
+    --wall-mass (if given) and --particle-mass, whose ratio is mu.
     """
     sol = eq.solve_equilibrium(K)
     omega = math.sqrt(sol.effective_stiffness / mu)
-    rate = dt_factor * omega
+    rate = s.dt_factor * omega
     dt = 2.0 * math.pi / rate if rate > 0.0 else math.inf
     if not 0.0 < dt < math.inf:
+        if s.particle_mass is None:
+            masses = f"--mu {mu!r}"
+        else:
+            masses = f"--particle-mass {s.particle_mass!r}"
+            if s.wall_mass is not None:
+                masses = f"--wall-mass {s.wall_mass!r} and {masses}"
+            masses += f" (mass ratio mu = {mu!r})"
         raise UsageError(
-            f"--mu {mu!r} with --dt-factor {dt_factor!r} gives no positive, "
+            f"{masses} with --dt-factor {s.dt_factor!r} gives no positive, "
             f"finite time step 2*pi/(dt_factor*sqrt(K'/mu))"
         )
     return sol, omega, dt
@@ -438,26 +448,107 @@ def _time_step(K, mu, dt_factor):
 # rows formatted by one % operation; bounds the text held in memory at once
 _CSV_BLOCK_ROWS = 4096
 
+# a block travels from a worker to the parent as its byte length, then its bytes
+_FRAME_LENGTH_BYTES = 8
+
+
+def _csv_processes() -> int:
+    """How many processes may format CSV blocks: one per CPU this process
+    may run on, or 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _format_block(line: str, columns, start: int) -> str:
+    """The CSV text of rows [start, start + _CSV_BLOCK_ROWS), one % in all."""
+    block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+    values = tuple(itertools.chain.from_iterable(zip(*block)))
+    return (line * len(block[0])) % values
+
+
+def _csv_worker(fd: int, read_fds, line: str, columns, starts) -> None:
+    """Forked child: format the blocks at ``starts`` into pipe ``fd`` as
+    length-prefixed frames, then leave through ``os._exit``, never returning
+    into the parent's stack (1 on any exception, 0 on success).
+
+    It first closes the read ends it inherited (``read_fds``), so that once
+    the parent closes a pipe, the worker writing into it gets EPIPE.
+    """
+    status = 1
+    try:
+        for read_fd in read_fds:
+            os.close(read_fd)
+        with open(fd, "wb") as pipe:
+            for start in starts:
+                data = _format_block(line, columns, start).encode()
+                pipe.write(len(data).to_bytes(_FRAME_LENGTH_BYTES, "little"))
+                pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_frame(pipe) -> str:
+    """The next block a worker sent; ZpboxError if the frame is short."""
+    prefix = pipe.read(_FRAME_LENGTH_BYTES)
+    if len(prefix) == _FRAME_LENGTH_BYTES:
+        size = int.from_bytes(prefix, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data.decode()
+    raise ZpboxError("a CSV formatting process ended before sending its block")
+
 
 def _write_csv(path: Path, header, columns) -> None:
     """Write equal-length columns as CSV under a header line.
 
     Integer columns print as ``%d`` and all others as ``%.17g``, the same
     text as ``str(int(v))`` and ``format(float(v), ".17g")``.  Rows are
-    formatted and written a block at a time, so the whole file is never
-    held as one string.
+    formatted a block of ``_CSV_BLOCK_ROWS`` at a time by P processes, P =
+    min(``_csv_processes()``, number of blocks).  Before the file is opened
+    the parent forks P - 1 workers; worker j formats blocks j, j + P, ...
+    and sends each through its own pipe.  The parent formats blocks 0, P,
+    2P, ..., reads the others in order and writes every block in block
+    order, so the bytes do not depend on P.  Each process holds at most one
+    formatted block, so the whole file is never held as one string.  With
+    P = 1 (one block, one CPU, or no ``os.fork``) nothing is forked.  A
+    worker that fails or sends a short frame raises ZpboxError; every
+    worker is reaped before this returns or raises.
     """
     columns = [np.asarray(c) for c in columns]
     line = ",".join(
         "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
     ) + "\n"
-    n_rows = len(columns[0])
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            values = tuple(itertools.chain.from_iterable(zip(*block)))
-            fh.write((line * len(block[0])) % values)
+    starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
+    n_procs = min(_csv_processes(), len(starts))
+    workers = []  # (pid, read end of its pipe), for blocks j, j + P, ...
+    try:
+        for j in range(1, n_procs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                read_fds = [read_fd, *(pipe.fileno() for _, pipe in workers)]
+                _csv_worker(write_fd, read_fds, line, columns, starts[j::n_procs])
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        with path.open("w") as fh:
+            fh.write(",".join(header) + "\n")
+            for k, start in enumerate(starts):
+                j = k % n_procs
+                if j == 0:
+                    fh.write(_format_block(line, columns, start))
+                else:
+                    fh.write(_read_frame(workers[j - 1][1]))
+    finally:
+        # close the pipes first, so a worker blocked on a write sees EPIPE
+        for _, pipe in workers:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    if any(statuses):
+        raise ZpboxError("a CSV formatting process failed")
 
 
 def _jsonable(value):
@@ -547,7 +638,7 @@ def _thermal(s: Scenario, K, mu):
 
 
 def _dynamics(s: Scenario, K, mu):
-    sol, omega, dt = _time_step(K, mu, s.dt_factor)
+    sol, omega, dt = _time_step(s, K, mu)
     n_steps = max(1, round(s.n_periods * s.dt_factor))
     traj = dyn.integrate(
         sol, mu, y0=s.y0_frac * sol.strain, v0=0.0, dt=dt, n_steps=n_steps
@@ -570,6 +661,8 @@ def _dynamics(s: Scenario, K, mu):
         "strain": sol.strain,
         "K_prime": sol.effective_stiffness,
         "omega_harmonic": omega,
+        # velocity Verlet's own frequency for the linearised motion
+        "omega_verlet": 2.0 / dt * math.asin(omega * dt / 2.0),
         "measured_omega": measured,
         "y0": s.y0_frac * sol.strain,
         "dt": dt,

@@ -12,7 +12,7 @@ import pytest
 
 import zpbox
 from conftest import quartic_root, strain_bisection
-from zpbox import UsageError
+from zpbox import UsageError, cli
 from zpbox.cli import (
     _CSV_BLOCK_ROWS,
     Scenario,
@@ -459,9 +459,18 @@ _SPECIAL_FLOATS = (
 
 
 @pytest.mark.parametrize(
-    "n_rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+    "n_rows",
+    [
+        1,
+        _CSV_BLOCK_ROWS - 1,
+        _CSV_BLOCK_ROWS,
+        _CSV_BLOCK_ROWS + 1,
+        # every worker owns blocks, and the last block is partial
+        3 * _CSV_BLOCK_ROWS + 1,
+        7 * _CSV_BLOCK_ROWS - 5,
+    ],
 )
-def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
+def test_write_csv_matches_per_value_formatting(tmp_path, monkeypatch, n_rows):
     rng = np.random.default_rng(n_rows)
     k = len(_SPECIAL_FLOATS)
     ints = np.arange(n_rows, dtype=np.int64) * 7919 - 3
@@ -481,9 +490,69 @@ def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
         lines.append(",".join(fields))
     expected = ("\n".join(lines) + "\n").encode()
 
-    path = tmp_path / "golden.csv"
-    _write_csv(path, header, columns)
-    assert path.read_bytes() == expected
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(cli, "_csv_processes", lambda: processes)
+        path = tmp_path / f"golden{processes}.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == expected
+
+
+_DYNAMICS_20 = ["dynamics", "--K", "2", "--n-periods", "20"]  # 5 CSV blocks
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def test_dynamics_csv_bytes_do_not_depend_on_the_process_count(
+    tmp_path, monkeypatch
+):
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(cli, "_csv_processes", lambda: 1)
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path / "one")]) == 0
+    default = (tmp_path / "default" / "dynamics.csv").read_bytes()
+    assert default == (tmp_path / "one" / "dynamics.csv").read_bytes()
+
+
+@_NEEDS_FORK
+def test_failing_csv_worker_is_one_error_line_and_is_reaped(
+    tmp_path, monkeypatch, capsys
+):
+    parent = os.getpid()
+    format_block = cli._format_block
+
+    def fails_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failure")
+        return format_block(*args)
+
+    monkeypatch.setattr(cli, "_format_block", fails_in_a_worker)
+    monkeypatch.setattr(cli, "_csv_processes", lambda: 2)
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zpbox: error: ") and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):  # no worker outlives the call
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_NEEDS_FORK
+def test_csv_that_cannot_be_opened_reaps_its_blocked_workers(tmp_path, monkeypatch):
+    # each worker blocks writing a block larger than a pipe holds, until the
+    # parent's failed open closes the pipes
+    monkeypatch.setattr(cli, "_csv_processes", lambda: 3)
+    columns = [np.arange(7 * _CSV_BLOCK_ROWS) / 3.0]  # 17 digits a row
+    with pytest.raises(FileNotFoundError):
+        _write_csv(tmp_path / "missing" / "x.csv", ["x"], columns)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_block_csv_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called for a one-block CSV")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(cli, "_csv_processes", lambda: 3)
+    argv = ["thermal", "--K", "2", "--t-grid", "0:60:0.1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len((tmp_path / "thermal.csv").read_text().splitlines()) == 602
 
 
 @pytest.mark.parametrize(
@@ -506,7 +575,8 @@ def test_import_leaves_scipy_and_mpmath_unloaded(statement):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         f"import sys; {statement}; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'fractions', 'decimal') "
+        "print(sorted(m for m in ('scipy', 'mpmath', 'fractions', 'decimal', "
+        "'multiprocessing', 'concurrent.futures', 'subprocess') "
         "if m in sys.modules))"
     )
     result = subprocess.run(
@@ -675,3 +745,14 @@ def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("zpbox: error: ") and err.count("\n") == 1
     assert not out.exists()
+    if argv[0] == "dynamics":  # names the SI flags given, not --mu
+        assert "--wall-mass 1.8718912450931243e+120 and --particle-mass 1.0" in err
+        assert "--dt-factor 10.0" in err and "--mu" not in err
+
+
+@pytest.mark.parametrize("dt_factor", ["3.5", "6"])
+def test_omega_verlet_is_the_frequency_a_coarse_step_measures(tmp_path, dt_factor):
+    argv = ["dynamics", "--K", "2", "--dt-factor", dt_factor, "--n-periods", "100"]
+    assert main([*argv, "--formats", "json", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "dynamics_summary.json").read_text())
+    assert abs(data["measured_omega"] / data["omega_verlet"] - 1.0) < 2e-3

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import golden_section_fraction
 from zpbox import UsageError, minimize_oracle
-from zpbox.cli import _time_step
+from zpbox.cli import Scenario, _time_step
 
 _FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -33,8 +33,9 @@ def test_minimize_oracle_equals_the_fraction_golden_section(K):
     dt_factor=st.floats(min_value=math.pi, max_value=1e6, exclude_min=True),
 )
 def test_time_step_is_finite_and_positive_or_a_usage_error(K, mu, dt_factor):
+    s = Scenario("dynamics", K=K, mu=mu, dt_factor=dt_factor)
     try:
-        _, _, dt = _time_step(K, mu, dt_factor)
+        _, _, dt = _time_step(s, K, mu)
     except UsageError:
         return
     assert 0.0 < dt < math.inf
