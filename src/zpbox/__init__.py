@@ -5,102 +5,90 @@ even at zero temperature; against a finite spring this strains the box,
 binds the pair, stiffens the restoring force, and drives an energy
 exchange when the box size oscillates.  This package computes all of it
 in reduced units (see :mod:`zpbox.model`) and ships a CLI (``zpbox``).
-"""
 
-from .errors import (
-    AnalysisError,
-    DomainError,
-    NumericalError,
-    UsageError,
-    ValidationError,
-    ZpboxError,
-)
-from .model import (
-    BOLTZMANN_KB,
-    DEFAULT_MASS_RATIO,
-    PLANCK_H,
-    PhysicalInput,
-    ReducedSystem,
-    from_reduced,
-    to_reduced,
-)
-from .spectrum import (
-    collision_frequency,
-    count_nodes,
-    energy_level,
-    position_expectation,
-    quantum_size,
-    wall_force,
-    wavefunction,
-    wavenumber,
-)
-from .equilibrium import (
-    StrainSolution,
-    binding_energy,
-    effective_stiffness,
-    minimize_oracle,
-    perturbed_energy,
-    solve_equilibrium,
-    total_energy,
-)
-from .thermal import (
-    ThermalPoint,
-    equilibrium_size_at_t,
-    expansion_coefficient,
-    mean_wall_force,
-    occupancies,
-    thermal_sweep,
-)
-from .dynamics import (
-    Trajectory,
-    default_time_step,
-    energy_exchange_stats,
-    integrate,
-    measured_frequency,
-    restoring_force,
-)
+``import zpbox`` loads no submodule and so no numpy (PEP 562).  The first
+use of a name imports the submodule that defines it and binds all of that
+submodule's public names here at once, as ``from .submodule import ...``
+would, so each name keeps the object its submodule defined even if the
+submodule's attribute is later replaced (as a test or tracer does).  This
+lets ``python -m zpbox.cli`` run code before numpy loads.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "BOLTZMANN_KB",
-    "DEFAULT_MASS_RATIO",
-    "DomainError",
-    "NumericalError",
-    "PLANCK_H",
-    "PhysicalInput",
-    "ReducedSystem",
-    "StrainSolution",
-    "ThermalPoint",
-    "Trajectory",
-    "UsageError",
-    "ValidationError",
-    "ZpboxError",
-    "binding_energy",
-    "collision_frequency",
-    "count_nodes",
-    "default_time_step",
-    "effective_stiffness",
-    "energy_exchange_stats",
-    "energy_level",
-    "equilibrium_size_at_t",
-    "expansion_coefficient",
-    "from_reduced",
-    "integrate",
-    "mean_wall_force",
-    "measured_frequency",
-    "minimize_oracle",
-    "occupancies",
-    "perturbed_energy",
-    "position_expectation",
-    "quantum_size",
-    "restoring_force",
-    "solve_equilibrium",
-    "thermal_sweep",
-    "to_reduced",
-    "total_energy",
-    "wall_force",
-    "wavefunction",
-    "wavenumber",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "AnalysisError",
+        "DomainError",
+        "NumericalError",
+        "UsageError",
+        "ValidationError",
+        "ZpboxError",
+    ),
+    "model": (
+        "BOLTZMANN_KB",
+        "DEFAULT_MASS_RATIO",
+        "PLANCK_H",
+        "PhysicalInput",
+        "ReducedSystem",
+        "from_reduced",
+        "to_reduced",
+    ),
+    "spectrum": (
+        "collision_frequency",
+        "count_nodes",
+        "energy_level",
+        "position_expectation",
+        "quantum_size",
+        "wall_force",
+        "wavefunction",
+        "wavenumber",
+    ),
+    "equilibrium": (
+        "StrainSolution",
+        "binding_energy",
+        "effective_stiffness",
+        "minimize_oracle",
+        "perturbed_energy",
+        "solve_equilibrium",
+        "total_energy",
+    ),
+    "thermal": (
+        "ThermalPoint",
+        "equilibrium_size_at_t",
+        "expansion_coefficient",
+        "mean_wall_force",
+        "occupancies",
+        "thermal_sweep",
+    ),
+    "dynamics": (
+        "Trajectory",
+        "default_time_step",
+        "energy_exchange_stats",
+        "integrate",
+        "measured_frequency",
+        "restoring_force",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    module_name = name if name in _EXPORTS else _OWNER.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own machinery, so ``-X importtime`` reports it;
+    # importing a submodule binds it here as an attribute
+    __import__(f"{__name__}.{module_name}")
+    module = globals()[module_name]
+    if name != module_name:
+        for export in _EXPORTS[module_name]:
+            globals()[export] = getattr(module, export)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -15,7 +15,16 @@ one summary JSON is written per run, and identical scenarios produce
 byte-identical files (floats are printed with 17 significant digits).
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Usage errors
-are raised before any file is opened.
+are raised before any file is opened, and each output is written under a
+temporary name in the output directory and renamed into place only once
+every output of the run is written, so a failed run leaves no output file.
+
+Threads: the CLI makes no BLAS call, so importing this module defaults
+``OPENBLAS_NUM_THREADS`` to 1 before numpy loads; otherwise numpy's
+OpenBLAS starts one thread per further CPU, which busy-wait for about
+0.1 s.  A value already in the environment wins.  The library
+(``import zpbox``) leaves the environment alone, and loads numpy only on
+first use.
 """
 
 import argparse
@@ -28,6 +37,9 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+# must precede numpy's import: OpenBLAS sizes its thread pool as it loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -491,14 +503,14 @@ def _csv_worker(fd: int, read_fds, line: str, columns, starts) -> None:
         os._exit(status)
 
 
-def _read_frame(pipe) -> str:
+def _read_frame(pipe) -> bytes:
     """The next block a worker sent; ZpboxError if the frame is short."""
     prefix = pipe.read(_FRAME_LENGTH_BYTES)
     if len(prefix) == _FRAME_LENGTH_BYTES:
         size = int.from_bytes(prefix, "little")
         data = pipe.read(size)
         if len(data) == size:
-            return data.decode()
+            return data
     raise ZpboxError("a CSV formatting process ended before sending its block")
 
 
@@ -512,7 +524,9 @@ def _write_csv(path: Path, header, columns) -> None:
     the parent forks P - 1 workers; worker j formats blocks j, j + P, ...
     and sends each through its own pipe.  The parent formats blocks 0, P,
     2P, ..., reads the others in order and writes every block in block
-    order, so the bytes do not depend on P.  Each process holds at most one
+    order, so the bytes do not depend on P.  The file is opened in binary
+    mode: each block is encoded once, by the process that formatted it, and
+    worker frames are written as received.  Each process holds at most one
     formatted block, so the whole file is never held as one string.  With
     P = 1 (one block, one CPU, or no ``os.fork``) nothing is forked.  A
     worker that fails or sends a short frame raises ZpboxError; every
@@ -534,13 +548,13 @@ def _write_csv(path: Path, header, columns) -> None:
                 _csv_worker(write_fd, read_fds, line, columns, starts[j::n_procs])
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
-        with path.open("w") as fh:
-            fh.write(",".join(header) + "\n")
+        with path.open("wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for k, start in enumerate(starts):
                 j = k % n_procs
                 if j == 0:
-                    fh.write(_format_block(line, columns, start))
-                else:
+                    fh.write(_format_block(line, columns, start).encode())
+                else:  # the bytes the worker encoded
                     fh.write(_read_frame(workers[j - 1][1]))
     finally:
         # close the pipes first, so a worker blocked on a write sees EPIPE
@@ -714,9 +728,12 @@ _COMMANDS = {
 def run(scenario: Scenario) -> RunSummary:
     """Execute a scenario: compute, then write every requested output file.
 
-    All numeric work happens before any file is opened, so a failing run
-    leaves no partial output behind.  The series columns stream into the
-    CSV block by block; the summary JSON follows.
+    All numeric work happens before any file is opened.  The series columns
+    stream into the CSV block by block; the summary JSON follows.  Each
+    output is written to a temporary file beside it, and only once every
+    output is written is each renamed into place with ``os.replace``; on any
+    failure the temporaries are removed, so a failed run leaves no partial
+    output behind.
     """
     start = time.perf_counter()
     K, mu, scales = _resolve_system(scenario)
@@ -743,10 +760,24 @@ def run(scenario: Scenario) -> RunSummary:
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    if csv_path is not None:
-        _write_csv(csv_path, columns.keys(), columns.values())
-    if json_path is not None:
-        json_path.write_text(json.dumps(summary_dict(summary), indent=2) + "\n")
+    # output path -> a hidden name beside it that no other running process uses
+    staged = {
+        p: p.with_name(f".{p.name}.{os.getpid()}.tmp")
+        for p in (csv_path, json_path)
+        if p is not None
+    }
+    try:
+        if csv_path is not None:
+            _write_csv(staged[csv_path], columns.keys(), columns.values())
+        if json_path is not None:
+            text = json.dumps(summary_dict(summary), indent=2) + "\n"
+            staged[json_path].write_text(text)
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+        raise
 
     return replace(summary, duration_s=time.perf_counter() - start)
 

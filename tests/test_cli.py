@@ -530,6 +530,38 @@ def test_failing_csv_worker_is_one_error_line_and_is_reaped(
     assert err.startswith("zpbox: error: ") and err.count("\n") == 1
     with pytest.raises(ChildProcessError):  # no worker outlives the call
         os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.iterdir()) == []  # no truncated CSV, no temporary
+
+
+def test_successful_run_leaves_only_its_outputs(tmp_path):
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["dynamics.csv", "dynamics_summary.json"]
+
+
+def test_failure_after_the_csv_is_written_leaves_no_output(
+    tmp_path, monkeypatch, capsys
+):
+    def disk_full(summary):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "summary_dict", disk_full)
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "zpbox: error: no space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rerun_that_fails_keeps_the_previous_outputs(tmp_path, monkeypatch):
+    argv = ["thermal", "--K", "2", "--t-grid", "0:1:0.25", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fails(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_format_block", fails)
+    assert main(argv) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @_NEEDS_FORK
@@ -555,39 +587,126 @@ def test_one_block_csv_never_forks(tmp_path, monkeypatch):
     assert len((tmp_path / "thermal.csv").read_text().splitlines()) == 602
 
 
+# names a zpbox import must not load: the library needs none of them
+_UNLOADED = (
+    "sorted(m for m in ('scipy', 'mpmath', 'fractions', 'decimal', "
+    "'multiprocessing', 'concurrent.futures', 'subprocess') if m in sys.modules)"
+)
+_NEEDS_PROC = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task"
+)
+
+
 @pytest.mark.parametrize(
-    "statement",
+    "statement, probe, expected, env",
     [
-        pytest.param("import zpbox.cli", id="zpbox.cli"),
-        pytest.param("import zpbox", id="zpbox"),
+        pytest.param("import zpbox.cli", _UNLOADED, "[]", {}, id="zpbox.cli"),
+        pytest.param("import zpbox", _UNLOADED, "[]", {}, id="zpbox"),
         pytest.param(
             "import zpbox; zpbox.position_expectation(7, 1.3)",
+            _UNLOADED,
+            "[]",
+            {},
             id="position_expectation",
         ),
         pytest.param(
-            "import zpbox; zpbox.minimize_oracle(2.0)", id="minimize_oracle"
+            "import zpbox; zpbox.minimize_oracle(2.0)",
+            _UNLOADED,
+            "[]",
+            {},
+            id="minimize_oracle",
+        ),
+        # numpy's OpenBLAS would start one thread per further CPU
+        pytest.param(
+            "import zpbox.cli",
+            "len(os.listdir('/proc/self/task'))",
+            "1",
+            {},
+            id="cli-starts-no-thread",
+            marks=_NEEDS_PROC,
+        ),
+        pytest.param(
+            "import zpbox.cli",
+            "os.environ.get('OPENBLAS_NUM_THREADS')",
+            "1",
+            {},
+            id="cli-defaults-openblas-threads",
+        ),
+        pytest.param(
+            "import zpbox.cli",
+            "os.environ.get('OPENBLAS_NUM_THREADS')",
+            "2",
+            {"OPENBLAS_NUM_THREADS": "2"},
+            id="cli-keeps-user-openblas-threads",
+        ),
+        pytest.param(
+            "import zpbox; zpbox.solve_equilibrium(2.0)",
+            "os.environ.get('OPENBLAS_NUM_THREADS')",
+            "None",
+            {},
+            id="library-leaves-environment",
+        ),
+        pytest.param(
+            "import zpbox",
+            "'numpy' in sys.modules",
+            "False",
+            {},
+            id="zpbox-loads-no-numpy",
+        ),
+        # the lazy package namespace, where no submodule is loaded yet
+        pytest.param(
+            "import zpbox",
+            "[n for n in zpbox.__all__ if not hasattr(zpbox, n)]",
+            "[]",
+            {},
+            id="every-public-name-resolves",
+        ),
+        pytest.param(
+            "import zpbox",
+            "set(zpbox.__all__) <= set(dir(zpbox))",
+            "True",
+            {},
+            id="dir-lists-every-public-name",
+        ),
+        pytest.param(
+            "from zpbox import *; import zpbox",
+            "[n for n in zpbox.__all__ if n not in globals()]",
+            "[]",
+            {},
+            id="star-import-binds-every-public-name",
+        ),
+        pytest.param(
+            "import zpbox",
+            "zpbox.dynamics.integrate is zpbox.integrate",
+            "True",
+            {},
+            id="submodule-is-an-attribute",
         ),
     ],
 )
-def test_import_leaves_scipy_and_mpmath_unloaded(statement):
+def test_import_leaves_scipy_and_mpmath_unloaded(statement, probe, expected, env):
+    # a fresh process, with OPENBLAS_NUM_THREADS only where the case sets it
     src = str(Path(zpbox.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        f"import sys; {statement}; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'fractions', 'decimal', "
-        "'multiprocessing', 'concurrent.futures', 'subprocess') "
-        "if m in sys.modules))"
+    child_env = dict(os.environ)
+    child_env.pop("OPENBLAS_NUM_THREADS", None)
+    child_env.update(env)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, child_env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
+        [sys.executable, "-c", f"import os, sys; {statement}; print({probe})"],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == expected
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'zpbox' has no attribute 'no_such'"):
+        zpbox.no_such
 
 
 def test_summary_dict_excludes_wall_clock(tmp_path):
