@@ -39,6 +39,7 @@ _EXPORTS = {
         "collision_frequency",
         "count_nodes",
         "energy_level",
+        "level_table",
         "position_expectation",
         "quantum_size",
         "wall_force",
@@ -48,21 +49,26 @@ _EXPORTS = {
     "equilibrium": (
         "StrainSolution",
         "binding_energy",
+        "check_grid",
         "effective_stiffness",
+        "equilibria",
         "minimize_oracle",
         "perturbed_energy",
         "solve_equilibrium",
         "total_energy",
     ),
     "thermal": (
+        "ThermalBlock",
         "ThermalPoint",
         "equilibrium_size_at_t",
         "expansion_coefficient",
         "mean_wall_force",
         "occupancies",
+        "thermal_blocks",
         "thermal_sweep",
     ),
     "dynamics": (
+        "STEPS_PER_PERIOD",
         "Trajectory",
         "default_time_step",
         "energy_exchange_stats",

@@ -14,6 +14,10 @@ file can supply any flag's value; explicit flags win.  Series go to CSV,
 one summary JSON is written per run, and identical scenarios produce
 byte-identical files (floats are printed with 17 significant digits).
 
+Only the library's public API is used: the tables are the columns of
+``level_table``, ``thermal_blocks`` and ``equilibria`` under CSV names, and
+grid flags are checked by their validator, ``check_grid``.
+
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Usage errors
 are raised before any file is opened, and each output is written under a
 temporary name in the output directory and renamed into place only once
@@ -35,7 +39,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 # must precede numpy's import: OpenBLAS sizes its thread pool as it loads
@@ -236,7 +240,7 @@ _FLAGS = {
     "dt-factor": _Flag(
         "dt_factor",
         *_FLOAT,
-        float(dyn._STEPS_PER_PERIOD),
+        float(dyn.STEPS_PER_PERIOD),
         "steps per small-oscillation period",
     ),
     "n-periods": _Flag(
@@ -353,14 +357,15 @@ def _validate_scenario(s: Scenario) -> None:
     if s.command in ("equilibrium", "thermal", "dynamics"):
         if not si_given and s.K is None:
             raise UsageError(f"{s.command} needs --K or the SI flags")
-    if s.command == "thermal":
-        if s.t_grid is None:
-            raise UsageError("thermal needs --t-grid")
-        _check_grid("t-grid", s.t_grid, minimum=0.0)
-    if s.command == "sweep":
-        if s.k_grid is None:
-            raise UsageError("sweep needs --K-grid")
-        _check_grid("K-grid", s.k_grid, minimum=0.0, strict_min=True)
+    if s.command in ("thermal", "sweep"):
+        thermal = s.command == "thermal"
+        flag, grid = ("t-grid", s.t_grid) if thermal else ("K-grid", s.k_grid)
+        if grid is None:
+            raise UsageError(f"{s.command} needs --{flag}")
+        try:  # the grid rules of thermal_blocks and equilibria
+            eq.check_grid(grid, f"--{flag}", positive=not thermal)
+        except ValidationError as exc:
+            raise UsageError(str(exc)) from None
     if s.command == "spectrum":
         if not spec.MIN_SIZE <= s.ell <= spec.MAX_SIZE:
             raise UsageError(
@@ -387,19 +392,6 @@ def _validate_scenario(s: Scenario) -> None:
             _time_step(s, s.K, _mass_ratio(s))
         if s.dt_factor <= math.pi:  # omega dt = 2 pi/dt_factor: Verlet needs < 2
             raise UsageError("--dt-factor must exceed pi")
-
-
-def _check_grid(name, grid, minimum, strict_min=False) -> None:
-    if len(grid) == 0:
-        raise UsageError(f"--{name} must be non-empty")
-    for v in grid:
-        if not math.isfinite(v):
-            raise UsageError(f"--{name} values must be finite")
-        if v < minimum or (strict_min and v == minimum):
-            cmp = ">" if strict_min else ">="
-            raise UsageError(f"--{name} values must be {cmp} {minimum}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UsageError(f"--{name} must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +557,6 @@ def _write_csv(path: Path, header, columns) -> None:
         raise ZpboxError("a CSV formatting process failed")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if math.isfinite(value) else None
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def summary_dict(summary: RunSummary) -> dict:
     """Flat JSON form of a RunSummary.
 
@@ -598,56 +577,45 @@ def summary_dict(summary: RunSummary) -> dict:
         flat.update(summary.scales)
     flat.update(summary.headline)
     flat["outputs"] = list(summary.outputs)
-    return _jsonable(flat)
+    # every value is a str, a list of them or a Python scalar; JSON has no
+    # NaN or infinity, so a float that is not finite is written as null
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in flat.items()
+    }
 
 
 # ---------------------------------------------------------------------------
 # the commands
 
 
+def _renamed(columns: dict, drop=(), **names) -> dict:
+    """Library ``columns`` in order, less ``drop``, renamed as ``names`` says."""
+    return {names.get(k, k): v for k, v in columns.items() if k not in drop}
+
+
 def _spectrum(s: Scenario, K, mu):
-    levels = range(1, s.n_max + 1)
-    columns = {
-        "n": levels,
-        "energy": [spec.energy_level(n, s.ell) for n in levels],
-        "wall_force": [spec.wall_force(n, s.ell) for n in levels],
-        "collision_freq": [spec.collision_frequency(n, s.ell) for n in levels],
-        "quantum_size": [spec.quantum_size(n, s.ell) for n in levels],
-    }
+    table = spec.level_table(s.n_max, s.ell)
+    columns = _renamed(table, collision_frequency="collision_freq")
     return {"ell": s.ell, "n_max": s.n_max}, columns
 
 
 def _equilibrium(s: Scenario, K, mu):
-    sol = eq.solve_equilibrium(K)
-    headline = {
-        "ell": sol.ell,
-        "strain": sol.strain,
-        "residual": sol.residual,  # relative to the zero-point force
-        "binding_exact": sol.binding_exact,
-        "binding_first_order": sol.binding_first_order,
-        "strain_energy": sol.strain_energy,
-        "K_prime": sol.effective_stiffness,
-    }
-    return headline, None
+    sol = asdict(eq.solve_equilibrium(K))
+    return _renamed(sol, drop=("K",), effective_stiffness="K_prime"), None
 
 
 def _thermal(s: Scenario, K, mu):
-    # the grid block by block, with thermal_sweep's arithmetic
-    blocks = list(therm._blocks(K, np.array(s.t_grid)))
+    blocks = list(therm.thermal_blocks(K, s.t_grid))
     columns = {
-        "t": np.concatenate([b.t for b in blocks]),
-        "ell": np.concatenate([b.ell for b in blocks]),
-        "alpha": np.concatenate([b.alpha for b in blocks]),
-        "mean_force": np.concatenate([b.mean_force for b in blocks]),
-        "p1": np.concatenate([b.p[0] for b in blocks]),
-        "p2": np.concatenate([b.p[1] for b in blocks]),
+        name: np.concatenate([getattr(b, name) for b in blocks])
+        for name in ("t", "ell", "alpha", "mean_force")
     }
-    headline = {
-        "t_max": float(columns["t"][-1]),
-        "ell_at_t_max": float(columns["ell"][-1]),
-        "alpha_at_t_max": float(columns["alpha"][-1]),
-        "mean_force_at_t_max": float(columns["mean_force"][-1]),
-    }
+    for n in (1, 2):  # occupancies of the two lowest levels
+        columns[f"p{n}"] = np.concatenate([b.p[n - 1] for b in blocks])
+    headline = {"t_max": float(columns["t"][-1])}
+    for name in ("ell", "alpha", "mean_force"):
+        headline[f"{name}_at_t_max"] = float(columns[name][-1])
     return headline, columns
 
 
@@ -686,19 +654,11 @@ def _dynamics(s: Scenario, K, mu):
 
 
 def _sweep(s: Scenario, K, mu):
-    # the whole grid in one array solve, by solve_equilibrium's own function
-    k_grid = np.array(s.k_grid)
-    sol = eq._equilibria(k_grid)
-    columns = {
-        "K": k_grid,
-        "ell": sol["ell"],
-        "strain": sol["strain"],
-        "binding_exact": sol["binding_exact"],
-        "binding_first_order": sol["binding_first_order"],
-        "K_prime": sol["effective_stiffness"],
-    }
+    sol = eq.equilibria(s.k_grid)
+    drop = ("residual", "strain_energy")
+    columns = _renamed(sol, drop=drop, effective_stiffness="K_prime")
     headline = {
-        "n_points": len(k_grid),
+        "n_points": len(s.k_grid),
         "K_min": s.k_grid[0],
         "K_max": s.k_grid[-1],
     }

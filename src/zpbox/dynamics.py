@@ -28,7 +28,8 @@ from .errors import (
 )
 from .equilibrium import StrainSolution
 
-_STEPS_PER_PERIOD = 1000  # default dt resolves a small oscillation this finely
+#: Time steps per small-oscillation period of the default dt.
+STEPS_PER_PERIOD = 1000
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,9 @@ def _verlet_kernel(ell, strain, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel
 
 
 def default_time_step(sol: StrainSolution, mu: float) -> float:
-    """dt resolving one small-oscillation period with 1000 steps."""
+    """dt resolving one small-oscillation period with STEPS_PER_PERIOD steps."""
     omega = math.sqrt(sol.effective_stiffness / mu)
-    return 2.0 * math.pi / (_STEPS_PER_PERIOD * omega)
+    return 2.0 * math.pi / (STEPS_PER_PERIOD * omega)
 
 
 def integrate(
@@ -97,7 +98,7 @@ def integrate(
     y0: float,
     v0: float = 0.0,
     dt: float | None = None,
-    n_steps: int = 10 * _STEPS_PER_PERIOD,
+    n_steps: int = 10 * STEPS_PER_PERIOD,
     record_every: int = 1,
 ) -> Trajectory:
     """Integrate the breathing coordinate from (y0, v0) for n_steps of dt.
@@ -108,8 +109,8 @@ def integrate(
         y0: initial displacement; must satisfy |y0| < sol.strain, the
             window in which the equilibrium expansion is meaningful.
         v0: initial velocity (d per reduced time).
-        dt: time step; defaults to a thousandth of the small-oscillation
-            period.
+        dt: time step; defaults to the small-oscillation period over
+            STEPS_PER_PERIOD.
         n_steps: number of Verlet steps.
         record_every: stride between stored samples (the final state is
             always stored); lets multi-million-step runs stay in memory.
@@ -173,9 +174,10 @@ def integrate(
 
 
 def measured_frequency(traj: Trajectory) -> float:
-    """Angular frequency from the mean spacing of interpolated zero crossings.
-
-    Crossings are taken on eta minus its mean; at least four are required.
+    """Angular frequency pi 2m / (c[2m] - c[0]) from the interpolated zero
+    crossings c of eta minus its mean, at least four, over the largest even
+    number 2m of half periods: the cubic term of the potential makes
+    consecutive half periods alternate long and short.
     """
     s = traj.eta - traj.eta.mean()
     t = traj.times
@@ -186,8 +188,8 @@ def measured_frequency(traj: Trajectory) -> float:
             f"found {len(idx)}"
         )
     crossings = t[idx] - s[idx] * (t[idx + 1] - t[idx]) / (s[idx + 1] - s[idx])
-    half_periods = np.diff(crossings)
-    return math.pi / float(half_periods.mean())
+    two_m = (len(crossings) - 1) // 2 * 2
+    return math.pi * two_m / float(crossings[two_m] - crossings[0])
 
 
 def energy_exchange_stats(traj: Trajectory) -> tuple[float, float]:

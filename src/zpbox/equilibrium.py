@@ -42,6 +42,23 @@ def _check_stiffness(K: float) -> float:
     return K
 
 
+def check_grid(grid, name: str, positive: bool = False) -> np.ndarray:
+    """``grid`` as a float64 array if non-empty, strictly increasing, finite and
+    >= 0 (> 0 if ``positive``); else ValidationError, its message led by name."""
+    values = np.array(grid, dtype=float)
+    if values.ndim != 1 or len(values) == 0:
+        raise ValidationError(f"{name} must be a non-empty sequence")
+    bad = ~np.isfinite(values) | (values <= 0.0 if positive else values < 0.0)
+    if bad.any():
+        raise ValidationError(
+            f"{name} must be finite and {'>' if positive else '>='} 0, "
+            f"got {values[bad][0].item()!r}"
+        )
+    if (values[1:] <= values[:-1]).any():
+        raise ValidationError(f"{name} must be strictly increasing")
+    return values
+
+
 @dataclass(frozen=True)
 class StrainSolution:
     """Equilibrium of the particle + spring system at stiffness K.
@@ -195,10 +212,18 @@ def solve_equilibrium(K: float) -> StrainSolution:
     the result.
     """
     K = _check_stiffness(K)
-    return StrainSolution(K=K, **_equilibria(K))
+    return StrainSolution(K=K, **_fields(K))
 
 
-def _equilibria(K):
+def equilibria(K_grid) -> dict[str, np.ndarray]:
+    """:func:`solve_equilibrium` over an increasing stiffness grid as float64
+    columns, ``K`` and the other StrainSolution fields: the same arithmetic
+    run elementwise, so each element equals its own solve bit for bit."""
+    K = check_grid(K_grid, "stiffness grid", positive=True)
+    return {"K": K, **_fields(K)}
+
+
+def _fields(K):
     """The StrainSolution fields but K, for a float or elementwise for an array."""
     s = _solve_strain(K)
     ell = 1.0 + s

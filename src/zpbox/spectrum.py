@@ -54,9 +54,7 @@ def _check_size(ell: float) -> float:
 
 def energy_level(n: int, ell: float) -> float:
     """Energy of level n in a box of relative size ell: n^2 / ell^2."""
-    n = _check_level(n)
-    ell = _check_size(ell)
-    return (n * n) / (ell * ell)
+    return _levels(_check_level(n), _check_size(ell))["energy"]
 
 
 def wavenumber(n: int, ell: float) -> float:
@@ -139,7 +137,7 @@ def wall_force(n: int, ell: float) -> float:
     For n = 1 this is the zero-point force: the ground state cannot shed
     energy by de-exciting, only by pushing the walls apart.
     """
-    return 2.0 * energy_level(n, ell) / ell
+    return _levels(_check_level(n), _check_size(ell))["wall_force"]
 
 
 def collision_frequency(n: int, ell: float) -> float:
@@ -149,9 +147,7 @@ def collision_frequency(n: int, ell: float) -> float:
     of twice the momentum, so impulse times rate reproduces the wall force:
     2 * wavenumber(n, ell) * collision_frequency(n, ell) = wall_force(n, ell).
     """
-    n = _check_level(n)
-    ell = _check_size(ell)
-    return n / (math.pi * ell * ell)
+    return _levels(_check_level(n), _check_size(ell))["collision_frequency"]
 
 
 def quantum_size(n: int, ell: float) -> float:
@@ -160,9 +156,28 @@ def quantum_size(n: int, ell: float) -> float:
     Only the ground state fills the whole box (quantum_size(1, ell) = ell);
     level n tiles the box with n anti-nodal regions of this size.
     """
-    n = _check_level(n)
-    ell = _check_size(ell)
-    return ell / n
+    return _levels(_check_level(n), _check_size(ell))["quantum_size"]
+
+
+def level_table(n_max: int, ell: float) -> dict[str, np.ndarray]:
+    """Levels n = 1..n_max at relative size ell as columns: ``n`` (int64) and
+    the float64 ``energy``, ``wall_force``, ``collision_frequency`` and
+    ``quantum_size``, equal to those functions bit for bit."""
+    n = np.arange(1, _check_level(n_max) + 1, dtype=np.int64)
+    return _levels(n, _check_size(ell))
+
+
+def _levels(n, ell):
+    """The level-table quantities at n, an int or an int64 array: the same
+    IEEE operations either way, as n^2 < 2^53 is exact as a float."""
+    energy = (n * n) / (ell * ell)
+    return {
+        "n": n,
+        "energy": energy,
+        "wall_force": 2.0 * energy / ell,
+        "collision_frequency": n / (math.pi * ell * ell),
+        "quantum_size": ell / n,
+    }
 
 
 def count_nodes(n: int, ell: float) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .equilibrium import StrainSolution, _bracketed_newton, solve_equilibrium
+from .equilibrium import StrainSolution, _bracketed_newton, check_grid, solve_equilibrium
 from .spectrum import MAX_LEVEL, _check_size
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
@@ -48,14 +48,7 @@ class ThermalPoint:
     n_max: int
 
 
-_Block = namedtuple("_Block", "t ell p n_max mean_force alpha")  # p: levels x t
-
-
-def _check_temperature(t: float) -> float:
-    t = float(t)
-    if math.isnan(t) or t < 0.0:
-        raise ValidationError(f"temperature t must be >= 0, got {t!r}")
-    return t
+ThermalBlock = namedtuple("ThermalBlock", "t ell p n_max mean_force alpha")
 
 
 def _states(t, ell):
@@ -114,7 +107,7 @@ def _check(t, ell, n_max):
 
 
 def _one_point(t: float, ell: float):
-    t, ell = np.array([_check_temperature(t)]), np.array([_check_size(ell)])
+    t, ell = check_grid([t], "temperature t"), np.array([_check_size(ell)])
     w, z, n_max, mean, _ = _states(t, ell)
     _check(t, ell, n_max)
     return w[:, 0] / z[0], mean.item()
@@ -139,7 +132,7 @@ def mean_wall_force(t: float, ell: float = 1.0) -> float:
     return _one_point(t, ell)[1]
 
 
-def _solve(seed: StrainSolution, t: np.ndarray) -> _Block:
+def _solve(seed: StrainSolution, t: np.ndarray) -> ThermalBlock:
     """Roots of G(s) = K s - <F>(1 + s, t) in the strain s = ell - 1.
 
     <F> falls as ell grows, so G increases.  The zero-temperature strain s0
@@ -174,14 +167,19 @@ def _solve(seed: StrainSolution, t: np.ndarray) -> _Block:
     with np.errstate(all="ignore"):
         alpha = 0.5 * var / (t * t * (seed.K - (var / t - 3.0 * mean / ell)))
     alpha = np.where(t - _default_step(t) > 0.0, alpha, math.nan)
-    return _Block(t, ell, w / z, n_max, mean, alpha)
+    return ThermalBlock(t, ell, w / z, n_max, mean, alpha)
 
 
-def _blocks(K: float, t: np.ndarray):
-    """Solve a checked, increasing grid t block by block; yields each _Block.
-
-    Levels grow as ell sqrt(t), ell(t) at most as sqrt(t), so a point needs
-    about n_prev t/t_prev levels, n_prev those of the last root before it."""
+def thermal_blocks(K: float, t_grid):
+    """Yield an increasing temperature grid (checked as the first block is
+    asked for) as ThermalBlocks of consecutive points, float64 columns equal to
+    their own :func:`equilibrium_size_at_t` bit for bit; p is levels x points,
+    zero past a point's n_max.  A point needs about n_prev t/t_prev levels,
+    n_prev those of the last root before it (levels grow as ell sqrt(t), ell(t)
+    at most as sqrt(t)), so a block is sized to hold about _BLOCK_CELLS level x
+    point cells.  NumericalError names a point that needs over MAX_LEVEL levels.
+    """
+    t = check_grid(t_grid, "temperature grid")
     seed = solve_equilibrium(K)  # the same at every t; validates K
     start, t_prev, n_prev = 0, 0.0, _MIN_LEVELS
     while start < len(t):
@@ -199,7 +197,7 @@ def _blocks(K: float, t: np.ndarray):
         start, t_prev, n_prev = stop, block.t[-1], block.n_max[-1]
 
 
-def _points(block: _Block) -> list[ThermalPoint]:
+def _points(block: ThermalBlock) -> list[ThermalPoint]:
     columns = (c.tolist() for c in block._replace(p=block.p.T))
     # an undefined alpha is the one math.nan, so equal points compare equal
     return [
@@ -217,8 +215,8 @@ def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
     differentiation with the same Boltzmann weights, and is NaN where the
     finite-difference cross-check with the default step would cross t = 0.
     """
-    t = _check_temperature(t)
-    block = _solve(solve_equilibrium(K), np.array([t]))
+    t = check_grid([t], "temperature t")
+    block = _solve(solve_equilibrium(K), t)
     _check(block.t, block.ell, block.n_max)
     return _points(block)[0]
 
@@ -233,7 +231,7 @@ def expansion_coefficient(K: float, t: float, step: float | None = None) -> floa
     A cross-check on the implicit ``alpha`` of :func:`equilibrium_size_at_t`:
     one solve of the three points t - step, t and t + step.
     """
-    t = _check_temperature(t)
+    t = check_grid([t], "temperature t").item()
     step = float(_default_step(t) if step is None else step)
     if not math.isfinite(step) or step <= 0.0:
         raise ValidationError(f"step must be positive and finite, got {step!r}")
@@ -248,13 +246,6 @@ def expansion_coefficient(K: float, t: float, step: float | None = None) -> floa
 
 
 def thermal_sweep(K: float, t_grid) -> list[ThermalPoint]:
-    """Evaluate the self-consistent state over an increasing temperature grid."""
-    grid = [float(t) for t in t_grid]
-    if not grid:
-        raise ValidationError("temperature grid must be non-empty")
-    for t in grid:
-        if math.isnan(t) or math.isinf(t) or t < 0.0:
-            raise ValidationError(f"grid temperatures must be finite and >= 0, got {t!r}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("temperature grid must be strictly increasing")
-    return [point for block in _blocks(K, np.array(grid)) for point in _points(block)]
+    """Evaluate the self-consistent state over an increasing temperature grid:
+    the points of :func:`thermal_blocks`, one ThermalPoint each."""
+    return [point for block in thermal_blocks(K, t_grid) for point in _points(block)]

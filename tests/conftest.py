@@ -10,7 +10,15 @@ import math
 import warnings
 from fractions import Fraction
 
+from hypothesis import settings
 from scipy import integrate
+
+# Every run draws the same examples, so the property tests are a fixed,
+# fast set of cases; ``pytest --hypothesis-profile deep`` explores further.
+settings.register_profile(
+    "default", derandomize=True, database=None, deadline=None, max_examples=200
+)
+settings.register_profile("deep", deadline=None, max_examples=10_000)
 
 
 def quartic_root(K: float, tol: float = 1e-14) -> float:
@@ -89,6 +97,25 @@ def golden_section_fraction(K: float) -> float:
             d = a + inv_phi * (b - a)
             fd = energy(d)
     return (a + b) / 2
+
+
+def verlet_breathing_frequency(K: float, mu: float, dt: float, a: float) -> float:
+    """Angular frequency velocity Verlet gives the breathing mode at amplitude a.
+
+    The motion is eta'' + w^2 eta = -alpha eta^2 - beta eta^3, w^2 = K'/mu,
+    from the Taylor series of the force 2/(ell + eta)^3 - K (ell - 1 + eta):
+    alpha = -12/(mu ell^5) and beta = 20/(mu ell^6), with ell from
+    ``quartic_root``.  Verlet turns the linear motion at (2/dt) asin(w dt/2)
+    (Hairer, Lubich & Wanner 2006); the amplitude adds the shift
+    (3 beta/(8 w) - 5 alpha^2/(12 w^3)) a^2 (Landau & Lifshitz, Mechanics,
+    section 28).  Terms of order a^3 and dt^2 a^2 are left out.
+    """
+    ell = quartic_root(K)
+    omega = math.sqrt((K + 6.0 / ell**4) / mu)
+    alpha = -12.0 / (mu * ell**5)
+    beta = 20.0 / (mu * ell**6)
+    shift = (3.0 * beta / (8.0 * omega) - 5.0 * alpha**2 / (12.0 * omega**3)) * a * a
+    return 2.0 / dt * math.asin(omega * dt / 2.0) + shift
 
 
 def quad_strict(f, a: float, b: float, breakpoints=None) -> float:

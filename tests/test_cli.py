@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -807,6 +808,35 @@ def test_to_argv_is_canonical_for_every_flag(argv, canonical):
     pairs = zip(canonical[1::2], canonical[2::2])
     config = "".join(f"{flag[2:]} = {value}\n" for flag, value in pairs)
     assert parse_scenario([s.command], config_text=config) == s
+
+
+def test_cli_uses_no_private_name_of_another_zpbox_module():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = set()  # local names bound to zpbox modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or node.module.split(".")[0] == "zpbox"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"line {node.lineno}: imports {alias.name}")
+                if node.module is None or node.module == "zpbox":  # a submodule
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "zpbox":
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            private.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert modules >= {"dyn", "eq", "model", "spec", "therm"}
+    assert private == []
 
 
 def test_every_scenario_field_has_exactly_one_flag():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import verlet_breathing_frequency
 from zpbox import (
+    STEPS_PER_PERIOD,
     AnalysisError,
     DomainError,
     NumericalError,
@@ -173,6 +175,19 @@ def test_anharmonic_amplitude_raises_frequency_error(sol2):
     err_small = abs(measured_frequency(small) - omega_h)
     err_large = abs(measured_frequency(large) - omega_h)
     assert err_large > err_small
+
+
+@pytest.mark.parametrize("K", [2.0, 100.0])
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-2])  # of the strain
+def test_measured_frequency_matches_the_verlet_anharmonic_reference(K, amplitude):
+    # half periods alternate long and short, so averaging an odd count of
+    # them would be off by up to 5.9e-6 here, 3.5 times the shift itself
+    sol = solve_equilibrium(K)
+    dt = default_time_step(sol, MU)
+    y0 = amplitude * sol.strain
+    traj = integrate(sol, MU, y0=y0, dt=dt, n_steps=20 * STEPS_PER_PERIOD)
+    expected = verlet_breathing_frequency(K, MU, dt, y0)
+    assert measured_frequency(traj) == pytest.approx(expected, rel=1e-8)
 
 
 def test_frequency_needs_crossings(sol2):

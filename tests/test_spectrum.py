@@ -13,6 +13,7 @@ from zpbox import (
     collision_frequency,
     count_nodes,
     energy_level,
+    level_table,
     position_expectation,
     quantum_size,
     wall_force,
@@ -195,3 +196,21 @@ def test_levels_are_finite_and_exact_at_the_ends_of_the_size_range(n, ell):
     assert collision_frequency(n, ell) == pytest.approx(rate, rel=1e-15, abs=0)
     peak = wavefunction(1, 0.5 * ell, ell)
     assert peak == pytest.approx(math.sqrt(2.0 / ell), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("ell", [spectrum.MIN_SIZE, 1.0, 1.38, spectrum.MAX_SIZE])
+def test_level_table_equals_the_scalar_functions_bit_for_bit(ell):
+    table = level_table(spectrum.MAX_LEVEL, ell)
+    rng = np.random.default_rng(7)
+    levels = [1, 2, *rng.integers(3, spectrum.MAX_LEVEL, 500), spectrum.MAX_LEVEL]
+    assert table["n"].tolist() == list(range(1, spectrum.MAX_LEVEL + 1))
+    for name, fn in [
+        ("energy", energy_level),
+        ("wall_force", wall_force),
+        ("collision_frequency", collision_frequency),
+        ("quantum_size", quantum_size),
+    ]:
+        assert table[name].dtype == np.float64
+        assert [table[name][n - 1].item() for n in levels] == [
+            fn(int(n), ell) for n in levels
+        ]

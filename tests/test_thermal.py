@@ -7,11 +7,13 @@ from conftest import fixed_point_ell, quartic_root
 from zpbox import (
     NumericalError,
     ValidationError,
+    equilibria,
     equilibrium_size_at_t,
     expansion_coefficient,
     mean_wall_force,
     occupancies,
     solve_equilibrium,
+    thermal_blocks,
     thermal_sweep,
     wall_force,
 )
@@ -183,16 +185,23 @@ def test_thermal_sweep_monotone_and_deterministic():
 
 
 def test_thermal_sweep_grid_validation():
-    with pytest.raises(ValidationError):
-        thermal_sweep(2.0, [])
-    with pytest.raises(ValidationError):
-        thermal_sweep(2.0, [0.0, 0.0])
-    with pytest.raises(ValidationError):
-        thermal_sweep(2.0, [1.0, 0.5])
-    with pytest.raises(ValidationError):
-        thermal_sweep(2.0, [-1.0, 0.5])
-    with pytest.raises(ValidationError):
-        thermal_sweep(2.0, [0.0, math.inf])
+    # the column functions check their grids with the same validator
+    columns = (
+        lambda grid: thermal_sweep(2.0, grid),
+        lambda grid: list(thermal_blocks(2.0, grid)),
+        equilibria,
+    )
+    for solve in columns:
+        with pytest.raises(ValidationError):
+            solve([])
+        with pytest.raises(ValidationError):
+            solve([0.0, 0.0])
+        with pytest.raises(ValidationError):
+            solve([1.0, 0.5])
+        with pytest.raises(ValidationError):
+            solve([-1.0, 0.5])
+        with pytest.raises(ValidationError):
+            solve([0.0, math.inf])
 
 
 def test_thermal_sweep_annotates_failing_temperature():
