@@ -32,10 +32,13 @@ _EXPORTS = {
         "PLANCK_H",
         "PhysicalInput",
         "ReducedSystem",
+        "check_positive",
         "from_reduced",
         "to_reduced",
     ),
     "spectrum": (
+        "check_level",
+        "check_size",
         "collision_frequency",
         "count_nodes",
         "energy_level",

@@ -16,7 +16,8 @@ byte-identical files (floats are printed with 17 significant digits).
 
 Only the library's public API is used: the tables are the columns of
 ``level_table``, ``thermal_blocks`` and ``equilibria`` under CSV names, and
-grid flags are checked by their validator, ``check_grid``.
+a flag those functions take is checked by their validator (``check_grid``,
+``check_size``, ``check_level``, ``check_positive``), named by the flag.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Usage errors
 are raised before any file is opened, and each output is written under a
@@ -126,7 +127,7 @@ def _parse_int(text: str) -> int:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Grid syntax: ``start:stop:step`` (endpoints inclusive within half a
-    step) or an explicit comma-separated list, or a single number."""
+    step) or an explicit comma-separated list (one number is a list of one)."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -152,9 +153,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             values.append(v)
             i += 1
         return tuple(values)
-    if "," in text:
-        return tuple(_parse_float(p) for p in text.split(","))
-    return (_parse_float(text),)
+    return tuple(_parse_float(p) for p in text.split(","))
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
@@ -337,11 +336,15 @@ def parse_scenario(argv, config_text: str | None = None) -> Scenario:
             raise UsageError(f"--{name}: {exc}") from None
 
     scenario = Scenario(command=command, **fields)
-    _validate_scenario(scenario)
+    try:
+        _validate_scenario(scenario)
+    except ValidationError as exc:  # a library validator, led by the flag
+        raise UsageError(str(exc)) from None
     return scenario
 
 
 def _validate_scenario(s: Scenario) -> None:
+    """Raise UsageError, or a library ValidationError that names the flag."""
     si = (s.particle_mass, s.box_size, s.spring_stiffness, s.wall_mass)
     si_given = any(v is not None for v in si)
     if si_given and (s.K is not None or s.mu is not None):
@@ -362,24 +365,15 @@ def _validate_scenario(s: Scenario) -> None:
         flag, grid = ("t-grid", s.t_grid) if thermal else ("K-grid", s.k_grid)
         if grid is None:
             raise UsageError(f"{s.command} needs --{flag}")
-        try:  # the grid rules of thermal_blocks and equilibria
-            eq.check_grid(grid, f"--{flag}", positive=not thermal)
-        except ValidationError as exc:
-            raise UsageError(str(exc)) from None
+        eq.check_grid(grid, f"--{flag}", positive=not thermal)
     if s.command == "spectrum":
-        if not spec.MIN_SIZE <= s.ell <= spec.MAX_SIZE:
-            raise UsageError(
-                f"--ell must lie in [{spec.MIN_SIZE:g}, {spec.MAX_SIZE:g}]"
-            )
-        if not 1 <= s.n_max <= spec.MAX_LEVEL:
-            raise UsageError(f"--n-max must lie in [1, {spec.MAX_LEVEL}]")
+        spec.check_size(s.ell, "--ell")
+        spec.check_level(s.n_max, "--n-max")
     if s.command == "dynamics":
         if not 0.0 <= s.y0_frac < 1.0:
             raise UsageError("--y0-frac must lie in [0, 1)")
-        if s.dt_factor <= 0:
-            raise UsageError("--dt-factor must be positive")
-        if s.mu is not None and s.mu <= 0:
-            raise UsageError("--mu must be positive")
+        if s.mu is not None:
+            model.check_positive(s.mu, "--mu")
         if s.n_periods < 1:
             raise UsageError("--n-periods must be >= 1")
         try:

@@ -27,6 +27,7 @@ from .errors import (
     ZpboxError,
 )
 from .equilibrium import StrainSolution
+from .model import check_positive
 
 #: Time steps per small-oscillation period of the default dt.
 STEPS_PER_PERIOD = 1000
@@ -110,18 +111,18 @@ def integrate(
             window in which the equilibrium expansion is meaningful.
         v0: initial velocity (d per reduced time).
         dt: time step; defaults to the small-oscillation period over
-            STEPS_PER_PERIOD.
+            STEPS_PER_PERIOD.  Velocity Verlet is stable only for
+            omega*dt < 2, omega = sqrt(K'/mu) (Hairer, Lubich & Wanner 2006).
         n_steps: number of Verlet steps.
         record_every: stride between stored samples (the final state is
             always stored); lets multi-million-step runs stay in memory.
 
     Raises:
+        ValidationError: if mu or dt is not positive and finite, or omega*dt >= 2.
         NumericalError: if the box collapses mid-run (reports the step).
         ZpboxError: if the sample arrays cannot be allocated.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise ValidationError(f"wall mass ratio mu must be positive, got {mu!r}")
+    mu = check_positive(mu, "wall mass ratio mu")
     y0 = float(y0)
     v0 = float(v0)
     if not abs(y0) < sol.strain:
@@ -130,9 +131,13 @@ def integrate(
         )
     if dt is None:
         dt = default_time_step(sol, mu)
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValidationError(f"time step dt must be positive, got {dt!r}")
+    dt = check_positive(dt, "time step dt")
+    omega = math.sqrt(sol.effective_stiffness / mu)
+    if not omega * dt < 2.0:
+        raise ValidationError(
+            f"time step dt = {dt!r} gives omega*dt = {omega * dt!r} >= 2, past "
+            f"velocity Verlet's stability limit (omega = sqrt(K'/mu) = {omega!r})"
+        )
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
+from .model import check_positive
+from .spectrum import check_level
 
 _GOLDEN_TOL = 1e-12
 # a Newton correction below this ends the solve: it is far above the few-eps
@@ -33,13 +35,6 @@ _GOLDEN_TOL = 1e-12
 _REL_TOL = 64.0 * sys.float_info.epsilon
 _MAX_ITERATIONS = 200
 _FOURTH_ROOT_OF_2 = 2.0**0.25
-
-
-def _check_stiffness(K: float) -> float:
-    K = float(K)
-    if not math.isfinite(K) or K <= 0.0:
-        raise ValidationError(f"stiffness K must be positive and finite, got {K!r}")
-    return K
 
 
 def check_grid(grid, name: str, positive: bool = False) -> np.ndarray:
@@ -81,12 +76,12 @@ def total_energy(y: float, K: float, n: int = 1) -> float:
     """Combined particle + spring energy at wall displacement y.
 
     The particle contributes n^2/(1+y)^2 (it is pinned to level n, by
-    default the ground state); the spring contributes (K/2) y^2.
+    default the ground state, n <= spectrum.MAX_LEVEL); the spring
+    contributes (K/2) y^2.
     """
-    K = _check_stiffness(K)
+    K = check_positive(K, "stiffness K")
     y = float(y)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"level n must be an integer >= 1, got {n!r}")
+    n = check_level(n, "level n")
     size = 1.0 + y
     if not size > 0.0:
         raise DomainError(f"box collapse: 1 + y = {size} must stay positive")
@@ -211,7 +206,7 @@ def solve_equilibrium(K: float) -> StrainSolution:
     All derived energies and the stiffened force constant are populated on
     the result.
     """
-    K = _check_stiffness(K)
+    K = check_positive(K, "stiffness K")
     return StrainSolution(K=K, **_fields(K))
 
 
@@ -277,7 +272,7 @@ def minimize_oracle(K: float) -> float:
     compared exactly, as cross-multiplied integer ratios, because in double
     precision the well is numerically flat near the minimum.
     """
-    K = _check_stiffness(K)
+    K = check_positive(K, "stiffness K")
     y_max = 2.0 * min(2.0 / K, _FOURTH_ROOT_OF_2 / math.sqrt(math.sqrt(K)))
     return _golden_section(K, 0.0, y_max)
 

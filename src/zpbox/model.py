@@ -19,7 +19,7 @@ Constants are CODATA-2018 (both are exact by SI definition).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 
@@ -33,7 +33,8 @@ BOLTZMANN_KB = 1.380649e-23  # J / K
 DEFAULT_MASS_RATIO = 1000.0
 
 
-def _require_positive(name: str, value: float) -> float:
+def check_positive(value, name: str) -> float:
+    """``value`` as a float if positive and finite, else ValidationError led by name."""
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
@@ -54,14 +55,14 @@ class PhysicalInput:
     wall_mass: float | None = None  # kg
 
     def __post_init__(self):
-        _require_positive("particle_mass", self.particle_mass)
-        _require_positive("box_size", self.box_size)
-        _require_positive("spring_stiffness", self.spring_stiffness)
+        check_positive(self.particle_mass, "particle_mass")
+        check_positive(self.box_size, "box_size")
+        check_positive(self.spring_stiffness, "spring_stiffness")
         if self.wall_mass is None:
             object.__setattr__(
                 self, "wall_mass", DEFAULT_MASS_RATIO * self.particle_mass
             )
-        _require_positive("wall_mass", self.wall_mass)
+        check_positive(self.wall_mass, "wall_mass")
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,8 @@ class ReducedSystem:
     temperature_scale: float  # T0 = eps0 / k_B in kelvin
 
     def __post_init__(self):
-        for name in (
-            "K",
-            "mu",
-            "energy_scale",
-            "length_scale",
-            "time_scale",
-            "temperature_scale",
-        ):
-            _require_positive(name, getattr(self, name))
+        for field in fields(self):
+            check_positive(getattr(self, field.name), field.name)
 
     @property
     def force_scale(self) -> float:

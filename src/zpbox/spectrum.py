@@ -33,34 +33,36 @@ _GAUSS_ORDER = 12
 _BLOCK_POINTS = 1 << 16
 
 
-def _check_level(n: int) -> int:
+def check_level(n, name: str = "quantum number n") -> int:
+    """Integer n as an int if in [1, MAX_LEVEL], else ValidationError led by name."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError(f"quantum number n must be an integer, got {n!r}")
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < 1:
-        raise ValidationError(f"quantum number n must be >= 1, got {n}")
+        raise ValidationError(f"{name} must be >= 1, got {n}")
     if n > MAX_LEVEL:
-        raise ValidationError(f"quantum number n must be <= {MAX_LEVEL}, got {n}")
+        raise ValidationError(f"{name} must be <= {MAX_LEVEL}, got {n}")
     return int(n)
 
 
-def _check_size(ell: float) -> float:
+def check_size(ell, name: str = "box size ell") -> float:
+    """ell as a float if in [MIN_SIZE, MAX_SIZE], else ValidationError led by name."""
     ell = float(ell)
     if not MIN_SIZE <= ell <= MAX_SIZE:
         raise ValidationError(
-            f"box size ell must lie in [{MIN_SIZE:g}, {MAX_SIZE:g}], got {ell!r}"
+            f"{name} must lie in [{MIN_SIZE:g}, {MAX_SIZE:g}], got {ell!r}"
         )
     return ell
 
 
 def energy_level(n: int, ell: float) -> float:
     """Energy of level n in a box of relative size ell: n^2 / ell^2."""
-    return _levels(_check_level(n), _check_size(ell))["energy"]
+    return _levels(check_level(n), check_size(ell))["energy"]
 
 
 def wavenumber(n: int, ell: float) -> float:
     """Wavenumber of level n in units 1/d: n*pi/ell (= momentum in hbar/d)."""
-    n = _check_level(n)
-    ell = _check_size(ell)
+    n = check_level(n)
+    ell = check_size(ell)
     return n * math.pi / ell
 
 
@@ -70,8 +72,8 @@ def wavefunction(n: int, x, ell: float):
     ``x`` may be a scalar or an array; every entry must lie in [0, ell].
     The amplitude carries units d^(-1/2).
     """
-    n = _check_level(n)
-    ell = _check_size(ell)
+    n = check_level(n)
+    ell = check_size(ell)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr > ell):
         raise DomainError(f"position x must lie in [0, {ell}]")
@@ -105,8 +107,8 @@ def position_expectation(n: int, ell: float) -> float:
     estimate; above 1e-9 ell (the scale of the result) it raises
     ``NumericalError``.
     """
-    n = _check_level(n)
-    ell = _check_size(ell)
+    n = check_level(n)
+    ell = check_size(ell)
     m = _GAUSS_ORDER
     nodes_m, weights_m = _gauss_legendre(m)
     nodes_2m, weights_2m = _gauss_legendre(2 * m)
@@ -137,7 +139,7 @@ def wall_force(n: int, ell: float) -> float:
     For n = 1 this is the zero-point force: the ground state cannot shed
     energy by de-exciting, only by pushing the walls apart.
     """
-    return _levels(_check_level(n), _check_size(ell))["wall_force"]
+    return _levels(check_level(n), check_size(ell))["wall_force"]
 
 
 def collision_frequency(n: int, ell: float) -> float:
@@ -147,7 +149,7 @@ def collision_frequency(n: int, ell: float) -> float:
     of twice the momentum, so impulse times rate reproduces the wall force:
     2 * wavenumber(n, ell) * collision_frequency(n, ell) = wall_force(n, ell).
     """
-    return _levels(_check_level(n), _check_size(ell))["collision_frequency"]
+    return _levels(check_level(n), check_size(ell))["collision_frequency"]
 
 
 def quantum_size(n: int, ell: float) -> float:
@@ -156,15 +158,15 @@ def quantum_size(n: int, ell: float) -> float:
     Only the ground state fills the whole box (quantum_size(1, ell) = ell);
     level n tiles the box with n anti-nodal regions of this size.
     """
-    return _levels(_check_level(n), _check_size(ell))["quantum_size"]
+    return _levels(check_level(n), check_size(ell))["quantum_size"]
 
 
 def level_table(n_max: int, ell: float) -> dict[str, np.ndarray]:
     """Levels n = 1..n_max at relative size ell as columns: ``n`` (int64) and
     the float64 ``energy``, ``wall_force``, ``collision_frequency`` and
     ``quantum_size``, equal to those functions bit for bit."""
-    n = np.arange(1, _check_level(n_max) + 1, dtype=np.int64)
-    return _levels(n, _check_size(ell))
+    n = np.arange(1, check_level(n_max) + 1, dtype=np.int64)
+    return _levels(n, check_size(ell))
 
 
 def _levels(n, ell):
@@ -189,8 +191,8 @@ def count_nodes(n: int, ell: float) -> int:
     carrying the last sign across each block boundary, so memory stays
     bounded up to ``MAX_LEVEL``.
     """
-    n = _check_level(n)
-    ell = _check_size(ell)
+    n = check_level(n)
+    ell = check_size(ell)
     samples = 64 * n
     step = ell / (samples + 1)  # the spacing of linspace(0, ell, samples + 2)
     count = 0

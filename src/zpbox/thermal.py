@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .equilibrium import StrainSolution, _bracketed_newton, check_grid, solve_equilibrium
-from .spectrum import MAX_LEVEL, _check_size
+from .model import check_positive
+from .spectrum import MAX_LEVEL, check_size
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
 _MIN_LEVELS = 4
@@ -107,7 +108,7 @@ def _check(t, ell, n_max):
 
 
 def _one_point(t: float, ell: float):
-    t, ell = check_grid([t], "temperature t"), np.array([_check_size(ell)])
+    t, ell = check_grid([t], "temperature t"), np.array([check_size(ell)])
     w, z, n_max, mean, _ = _states(t, ell)
     _check(t, ell, n_max)
     return w[:, 0] / z[0], mean.item()
@@ -232,9 +233,7 @@ def expansion_coefficient(K: float, t: float, step: float | None = None) -> floa
     one solve of the three points t - step, t and t + step.
     """
     t = check_grid([t], "temperature t").item()
-    step = float(_default_step(t) if step is None else step)
-    if not math.isfinite(step) or step <= 0.0:
-        raise ValidationError(f"step must be positive and finite, got {step!r}")
+    step = check_positive(_default_step(t) if step is None else step, "step")
     if not t - step > 0.0:
         raise ValidationError(
             f"need t - step > 0 for a centered difference (t={t}, step={step})"

@@ -837,6 +837,15 @@ def test_cli_uses_no_private_name_of_another_zpbox_module():
             private.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert modules >= {"dyn", "eq", "model", "spec", "therm"}
     assert private == []
+    # the library's bounds belong to its validators and are not restated here
+    bounds = [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(tree)
+        for name in (getattr(node, "attr", None), getattr(node, "id", None))
+        + (getattr(node, "name", None),)
+        if name in ("MIN_SIZE", "MAX_SIZE", "MAX_LEVEL")
+    ]
+    assert bounds == []
 
 
 def test_every_scenario_field_has_exactly_one_flag():
@@ -886,6 +895,12 @@ def test_range_grid_step_count_is_bounded(tmp_path, capsys):
         ["dynamics", "--particle-mass", "1", "--box-size"]
         + ["1.5870818999450621e-68", "--spring-stiffness", "1", "--wall-mass"]
         + ["1.8718912450931243e+120", "--dt-factor", "10"],
+        # checked by a library validator, whose message leads with the flag
+        ["spectrum", "--ell", "-1"],
+        ["spectrum", "--n-max", "1000001"],
+        ["dynamics", "--K", "2", "--mu", "-5"],
+        ["thermal", "--K", "2", "--t-grid", "-1"],  # "-1,0,1" looks like an option
+        ["sweep", "--K-grid", "0,1"],
     ],
 )
 def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
@@ -894,7 +909,12 @@ def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("zpbox: error: ") and err.count("\n") == 1
     assert not out.exists()
-    if argv[0] == "dynamics":  # names the SI flags given, not --mu
+    flag, value = argv[-2:]
+    if flag in ("--ell", "--n-max", "--mu", "--t-grid", "--K-grid"):
+        assert err.startswith(f"zpbox: error: {flag} must ")
+        got = float(err.rsplit(", got ", 1)[1])  # the rejected value
+        assert got in [float(v) for v in value.split(",")]
+    if "--wall-mass" in argv:  # names the SI flags given, not --mu
         assert "--wall-mass 1.8718912450931243e+120 and --particle-mass 1.0" in err
         assert "--dt-factor 10.0" in err and "--mu" not in err
 

@@ -91,6 +91,20 @@ def test_integrate_validation(sol2):
         integrate(sol2, MU, y0=0.0, record_every=0)
 
 
+@pytest.mark.parametrize("dt_factor, stable", [(3.0, False), (3.1, False), (3.2, True)])
+def test_time_step_past_the_verlet_stability_limit_is_rejected(sol2, dt_factor, stable):
+    # omega dt = 2 pi/dt_factor; velocity Verlet is stable only below 2, and
+    # past it 20 steps from y0 grow |eta| to 350 y0 (3.1) or 3.6e7 y0 (3.0)
+    dt = 2.0 * math.pi / (dt_factor * math.sqrt(sol2.effective_stiffness / MU))
+    y0 = 1e-4 * sol2.strain
+    if stable:
+        traj = integrate(sol2, MU, y0=y0, dt=dt, n_steps=20)
+        assert np.abs(traj.eta).max() <= 1.001 * y0
+    else:
+        with pytest.raises(ValidationError, match="time step dt"):
+            integrate(sol2, MU, y0=y0, dt=dt, n_steps=20)
+
+
 def test_box_collapse_reports_step(sol2):
     with pytest.raises(NumericalError, match=r"step \d+"):
         integrate(sol2, MU, y0=0.0, v0=-10.0, n_steps=1000)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from zpbox import (
@@ -7,6 +8,10 @@ from zpbox import (
     PLANCK_H,
     PhysicalInput,
     ValidationError,
+    check_grid,
+    check_level,
+    check_positive,
+    check_size,
     from_reduced,
     to_reduced,
 )
@@ -123,3 +128,27 @@ def test_K_invariant_under_compensated_rescaling(mass_factor, size_factor):
 def test_eps0_outside_the_float_range_is_a_validation_error(mass, size):
     with pytest.raises(ValidationError, match="eps0"):
         to_reduced(PhysicalInput(mass, size, 1.0))
+
+
+@pytest.mark.parametrize(
+    "check, value, expected, bad",
+    [
+        (check_positive, np.float32(0.5), 0.5, 0.0),
+        (check_positive, 3, 3.0, math.nan),
+        (check_size, 1, 1.0, 1e-91),
+        (check_size, np.float64(1e90), 1e90, math.inf),
+        (check_level, np.int64(7), 7, 0),
+        (check_level, 1_000_000, 1_000_000, 2.0),
+        (check_grid, (0, 1, 2), np.array([0.0, 1.0, 2.0]), [1.0, 0.5]),
+        (check_grid, [5e-324], np.array([5e-324]), [-1.0]),
+    ],
+)
+def test_validators_normalise_or_lead_their_message_with_the_name(
+    check, value, expected, bad
+):
+    result = check(value, "--flag")
+    assert type(result) is type(expected)
+    assert np.array_equal(result, expected)
+    with pytest.raises(ValidationError) as info:
+        check(bad, "--flag")
+    assert str(info.value).startswith("--flag must ")

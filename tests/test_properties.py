@@ -4,14 +4,20 @@ The default hypothesis profile (tests/conftest.py) derandomizes and caps
 the examples, so every run tests the same inputs and the file stays fast.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import golden_section_fraction
+from conftest import golden_section_fraction, strain_bisection
 from zpbox import UsageError, minimize_oracle
-from zpbox.cli import Scenario, _time_step
+from zpbox.cli import Scenario, _time_step, main
+from zpbox.spectrum import MAX_SIZE, MIN_SIZE
 
 positive_floats = st.floats(
     min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False
@@ -35,3 +41,88 @@ def test_time_step_is_finite_and_positive_or_a_usage_error(K, mu, dt_factor):
     except UsageError:
         return
     assert 0.0 < dt < math.inf
+
+
+def _grid(values):
+    """Comma lists of 1-4 increasing values."""
+    lists = st.lists(values, min_size=1, max_size=4, unique=True)
+    return lists.map(lambda grid: ",".join(map(repr, sorted(grid))))
+
+
+_COMMANDS = ("spectrum", "equilibrium", "thermal", "dynamics", "sweep")
+_SI = ("particle-mass", "box-size", "spring-stiffness")
+# tables stay small (n-max, n-periods, grid lengths), so no CSV forks
+_FLAGS = {
+    "K": positive_floats,
+    "mu": st.none() | positive_floats,
+    **dict.fromkeys(_SI, positive_floats),
+    "wall-mass": st.none() | positive_floats,
+    "ell": st.floats(min_value=MIN_SIZE, max_value=MAX_SIZE),
+    "n-max": st.integers(1, 2000),
+    "t-grid": _grid(st.floats(min_value=0.0, max_value=1e6)),
+    "K-grid": _grid(positive_floats),
+    "y0-frac": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    "dt-factor": st.just(math.nextafter(math.pi, math.inf))
+    | st.floats(min_value=math.pi, max_value=1000.0, exclude_min=True),
+    "n-periods": st.integers(1, 3),
+    "formats": st.sampled_from(["csv", "json", "csv,json"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of any command, reduced or SI, with values its flags accept."""
+    command = draw(st.sampled_from(_COMMANDS))
+    names = {
+        "spectrum": ["ell", "n-max"],
+        "equilibrium": [],
+        "thermal": ["t-grid"],
+        "dynamics": ["y0-frac", "dt-factor", "n-periods"],
+        "sweep": ["K-grid"],
+    }[command]
+    if command in ("equilibrium", "thermal", "dynamics"):
+        system = ["K", "mu"] if draw(st.booleans()) else [*_SI, "wall-mass"]
+        names += [n for n in system if n != "mu" or command == "dynamics"]
+    argv = [command]
+    for name in [*names, "formats"]:
+        value = draw(_FLAGS[name])
+        if value is not None:
+            argv += [f"--{name}", value if isinstance(value, str) else repr(value)]
+    return argv
+
+
+def _strain_matches(K, strain):
+    expected = strain_bisection(K)
+    return abs(strain - expected) <= 4.0 * math.ulp(expected)
+
+
+@given(argv=_argvs())
+def test_cli_writes_correct_outputs_or_one_error_line_and_no_file(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2)
+        left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code:
+            err = stderr.getvalue()
+            assert err.startswith("zpbox: error: ") and err.count("\n") == 1
+            assert left == []  # hidden temporaries included
+            return
+        assert stderr.getvalue() == ""
+        listed = [
+            Path(line.removeprefix("  wrote ")).name
+            for line in stdout.getvalue().splitlines()
+            if line.startswith("  wrote ")
+        ]
+        assert sorted(listed) == left
+        command = argv[0]
+        if f"{command}_summary.json" in left and command == "equilibrium":
+            data = json.loads((out / "equilibrium_summary.json").read_text())
+            assert _strain_matches(data["K"], data["strain"])
+        if "sweep.csv" in left:
+            rows = (out / "sweep.csv").read_text().splitlines()[1:]
+            for row in rows:
+                K, _, strain = map(float, row.split(",")[:3])
+                assert _strain_matches(K, strain)
