@@ -73,11 +73,11 @@ _EXPORTS = {
     "dynamics": (
         "STEPS_PER_PERIOD",
         "Trajectory",
-        "default_time_step",
         "energy_exchange_stats",
         "integrate",
         "measured_frequency",
         "restoring_force",
+        "time_step",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -87,10 +87,36 @@ def _verlet_kernel(ell, strain, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel
     return k, -1
 
 
-def default_time_step(sol: StrainSolution, mu: float) -> float:
-    """dt resolving one small-oscillation period with STEPS_PER_PERIOD steps."""
+def time_step(
+    sol: StrainSolution, mu: float, steps_per_period=STEPS_PER_PERIOD, name=None
+) -> tuple[float, float]:
+    """(omega, dt): omega = sqrt(K'/mu) and dt = 2 pi/(steps_per_period omega).
+
+    ValidationError, led by ``name`` (default: mu and steps_per_period), where
+    dt is not positive and finite, or omega*dt >= 2 (see ``integrate``).  The
+    rate steps_per_period omega is checked before it divides, so 0 never does.
+    """
+    mu = check_positive(mu, "wall mass ratio mu")
+    name = name or f"mu {mu!r} with steps_per_period {steps_per_period!r}"
     omega = math.sqrt(sol.effective_stiffness / mu)
-    return 2.0 * math.pi / (STEPS_PER_PERIOD * omega)
+    rate = steps_per_period * omega
+    dt = 2.0 * math.pi / rate if rate > 0.0 else math.inf
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(
+            f"{name} gives no positive, finite time step "
+            f"2*pi/(steps_per_period*sqrt(K'/mu))"
+        )
+    return omega, _stable(omega, dt, name)
+
+
+def _stable(omega: float, dt: float, name: str) -> float:
+    """dt, or ValidationError led by name where omega*dt >= 2."""
+    if omega * dt < 2.0:
+        return dt
+    raise ValidationError(
+        f"{name} gives omega*dt = {omega * dt!r} >= 2, past velocity "
+        f"Verlet's stability limit (omega = sqrt(K'/mu) = {omega!r})"
+    )
 
 
 def integrate(
@@ -110,9 +136,9 @@ def integrate(
         y0: initial displacement; must satisfy |y0| < sol.strain, the
             window in which the equilibrium expansion is meaningful.
         v0: initial velocity (d per reduced time).
-        dt: time step; defaults to the small-oscillation period over
-            STEPS_PER_PERIOD.  Velocity Verlet is stable only for
-            omega*dt < 2, omega = sqrt(K'/mu) (Hairer, Lubich & Wanner 2006).
+        dt: time step; defaults to ``time_step(sol, mu)``.  Velocity Verlet
+            is stable only for omega*dt < 2, omega = sqrt(K'/mu) (Hairer,
+            Lubich & Wanner 2006), which an explicit dt must also meet.
         n_steps: number of Verlet steps.
         record_every: stride between stored samples (the final state is
             always stored); lets multi-million-step runs stay in memory.
@@ -130,14 +156,10 @@ def integrate(
             f"|y0| = {abs(y0)!r} must stay below the strain {sol.strain!r}"
         )
     if dt is None:
-        dt = default_time_step(sol, mu)
-    dt = check_positive(dt, "time step dt")
-    omega = math.sqrt(sol.effective_stiffness / mu)
-    if not omega * dt < 2.0:
-        raise ValidationError(
-            f"time step dt = {dt!r} gives omega*dt = {omega * dt!r} >= 2, past "
-            f"velocity Verlet's stability limit (omega = sqrt(K'/mu) = {omega!r})"
-        )
+        _, dt = time_step(sol, mu)
+    else:
+        dt = check_positive(dt, "time step dt")
+        _stable(math.sqrt(sol.effective_stiffness / mu), dt, f"time step dt = {dt!r}")
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")

@@ -75,23 +75,31 @@ def test_grid_endpoint_inclusion_within_half_step():
         ["dynamics", "--K", "2", "--y0-frac", "1.5"],
         ["dynamics", "--K", "2", "--n-periods", "0"],
         ["dynamics", "--K", "2", "--mu", "5", "--wall-mass", "1e-27"],
-        ["dynamics", "--K", "2", "--mu", "1e-320"],  # K'/mu overflows
         ["dynamics", "--K", "2", "--mu", "0"],
         ["dynamics", "--K", "2", "--mu", "-5"],
         ["equilibrium", "--K", "2", "--formats", "yaml"],
         ["spectrum", "--ell", "-1"],
         ["spectrum", "--n-max", "1000001"],  # above spectrum.MAX_LEVEL
-        # omega dt = 2 pi/dt_factor at or past Verlet's stability limit of 2
-        ["dynamics", "--K", "2", "--dt-factor", "2"],
-        ["dynamics", "--K", "2", "--dt-factor", "3"],
-        ["dynamics", "--K", "2", "--dt-factor", "3.14159"],
-        ["dynamics", "--particle-mass", "9.1e-31", "--box-size", "1e-9"]
-        + ["--spring-stiffness", "0.06", "--dt-factor", "3"],
+        # a value that starts with "-" reaches its rule, not argparse
+        ["sweep", "--K-grid", "-2,1"],
+        ["dynamics", "--K", "2", "--mu", "-1e-3"],
+        ["dynamics", "--K", "2", "--y0-frac", "-1e-3"],
+        ["spectrum", "--ell", "-1e-3"],
+        ["dynamics", "--K", "2", "--n-periods", "10", "--dt-factor", "1e308"],
     ],
 )
 def test_usage_errors(argv):
     with pytest.raises(UsageError):
         parse_scenario(argv)
+
+
+def test_word_after_a_flag_is_its_value_even_with_a_leading_minus():
+    s = parse_scenario(["dynamics", "--K", "2", "--dt-factor", "-5e0", "--out", "-a"])
+    assert (s.dt_factor, s.out_dir) == (-5.0, "-a")  # -5e0: rejected by run
+    assert parse_scenario(["equilibrium", "--config", "-c"], config_text="K = 2").K == 2
+    # a word with two leading dashes is a flag, never a value
+    with pytest.raises(UsageError, match="--out: expected one argument"):
+        parse_scenario(["equilibrium", "--out", "--K", "2"])
 
 
 @pytest.mark.parametrize(
@@ -105,11 +113,14 @@ def test_usage_errors(argv):
         + ["--dt-factor", "4"],
     ],
 )
-def test_time_step_that_vanishes_names_mu_and_dt_factor(flags):
+def test_time_step_that_vanishes_names_mu_and_dt_factor(tmp_path, capsys, flags):
     # sqrt(K'/mu) overflows, or dt_factor times it does (2 pi/(...) is 0),
-    # or it underflows (2 pi/(...) is inf)
-    with pytest.raises(UsageError, match="--mu .* --dt-factor"):
-        parse_scenario(["dynamics", *flags])
+    # or it underflows (2 pi/(...) is inf); found as the run computes
+    out = tmp_path / "never"
+    assert main(["dynamics", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"zpbox: error: --mu .* --dt-factor .*\n\Z", err)
+    assert not out.exists()
 
 
 def test_config_supplies_defaults_and_flags_win():
@@ -846,6 +857,16 @@ def test_cli_uses_no_private_name_of_another_zpbox_module():
         if name in ("MIN_SIZE", "MAX_SIZE", "MAX_LEVEL")
     ]
     assert bounds == []
+    # omega = sqrt(K'/mu) and dt = 2 pi/(...) belong to dynamics.time_step
+    restated = [
+        f"line {node.lineno}: math.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "math"
+        and node.attr in ("sqrt", "pi")
+    ]
+    assert restated == []
 
 
 def test_every_scenario_field_has_exactly_one_flag():
@@ -899,8 +920,18 @@ def test_range_grid_step_count_is_bounded(tmp_path, capsys):
         ["spectrum", "--ell", "-1"],
         ["spectrum", "--n-max", "1000001"],
         ["dynamics", "--K", "2", "--mu", "-5"],
-        ["thermal", "--K", "2", "--t-grid", "-1"],  # "-1,0,1" looks like an option
+        ["thermal", "--K", "2", "--t-grid", "-1,0,1"],
         ["sweep", "--K-grid", "0,1"],
+        ["sweep", "--K-grid", "-2,1"],
+        ["dynamics", "--K", "2", "--mu", "-1e-3"],
+        # the time step, found as the run computes: K'/mu overflows
+        ["dynamics", "--mu", "1e-320", "--K", "2"],
+        # omega dt = 2 pi/dt_factor at or past Verlet's stability limit of 2
+        ["dynamics", "--K", "2", "--dt-factor", "2"],
+        ["dynamics", "--K", "2", "--dt-factor", "3"],
+        ["dynamics", "--K", "2", "--dt-factor", "3.14159"],
+        ["dynamics", "--particle-mass", "9.1e-31", "--box-size", "1e-9"]
+        + ["--spring-stiffness", "0.06", "--dt-factor", "3"],
     ],
 )
 def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
@@ -914,6 +945,8 @@ def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
         assert err.startswith(f"zpbox: error: {flag} must ")
         got = float(err.rsplit(", got ", 1)[1])  # the rejected value
         assert got in [float(v) for v in value.split(",")]
+    if flag == "--dt-factor":  # the time step, led by the mass flags
+        assert f" with --dt-factor {float(value)!r} gives " in err
     if "--wall-mass" in argv:  # names the SI flags given, not --mu
         assert "--wall-mass 1.8718912450931243e+120 and --particle-mass 1.0" in err
         assert "--dt-factor 10.0" in err and "--mu" not in err

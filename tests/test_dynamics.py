@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from zpbox import (
     DomainError,
     NumericalError,
     ValidationError,
-    default_time_step,
     energy_exchange_stats,
     integrate,
     measured_frequency,
     perturbed_energy,
     restoring_force,
     solve_equilibrium,
+    time_step,
 )
 
 MU = 1000.0
@@ -105,6 +106,36 @@ def test_time_step_past_the_verlet_stability_limit_is_rejected(sol2, dt_factor, 
             integrate(sol2, MU, y0=y0, dt=dt, n_steps=20)
 
 
+def test_time_step_resolves_one_period_with_steps_per_period_steps(sol2):
+    omega, dt = time_step(sol2, MU)
+    assert omega == math.sqrt(sol2.effective_stiffness / MU)
+    assert dt == 2.0 * math.pi / (STEPS_PER_PERIOD * omega)
+    assert time_step(sol2, MU, 6.0)[1] == 2.0 * math.pi / (6.0 * omega)
+
+
+@pytest.mark.parametrize("steps", [3.0, 0.0, -5.0, math.nan, 1e-320])
+def test_time_step_error_is_led_by_the_name_given(sol2, steps):
+    # omega dt = 2 pi/3 >= 2; otherwise 2 pi/(steps omega) is inf or undefined
+    if steps == 3.0:
+        message = r"gives omega\*dt = 2.09.* >= 2, past velocity Verlet's"
+    else:
+        message = "gives no positive, finite time step"
+    with pytest.raises(ValidationError, match=f"^--flags {message}"):
+        time_step(sol2, MU, steps, name="--flags")
+    lead = re.escape(f"mu {MU!r} with steps_per_period {steps!r} ")
+    with pytest.raises(ValidationError, match=f"^{lead}{message}"):
+        time_step(sol2, MU, steps)
+
+
+def test_default_time_step_where_omega_underflows_is_a_validation_error():
+    # K'/mu underflows to 0, so omega is 0 and 2 pi/(steps omega) has no value
+    sol = solve_equilibrium(1e-28)
+    with pytest.raises(ValidationError, match="no positive, finite time step"):
+        integrate(sol, 1e300, y0=0.0)
+    with pytest.raises(ValidationError, match="wall mass ratio mu"):
+        time_step(sol, 0.0)
+
+
 def test_box_collapse_reports_step(sol2):
     with pytest.raises(NumericalError, match=r"step \d+"):
         integrate(sol2, MU, y0=0.0, v0=-10.0, n_steps=1000)
@@ -183,7 +214,7 @@ def test_frequency_scales_with_wall_inertia(sol2):
 
 def test_anharmonic_amplitude_raises_frequency_error(sol2):
     omega_h = math.sqrt(sol2.effective_stiffness / MU)
-    dt = default_time_step(sol2, MU)
+    _, dt = time_step(sol2, MU)
     small = integrate(sol2, MU, y0=1e-4 * sol2.strain, dt=dt, n_steps=50_000)
     large = integrate(sol2, MU, y0=0.5 * sol2.strain, dt=dt, n_steps=50_000)
     err_small = abs(measured_frequency(small) - omega_h)
@@ -197,7 +228,7 @@ def test_measured_frequency_matches_the_verlet_anharmonic_reference(K, amplitude
     # half periods alternate long and short, so averaging an odd count of
     # them would be off by up to 5.9e-6 here, 3.5 times the shift itself
     sol = solve_equilibrium(K)
-    dt = default_time_step(sol, MU)
+    _, dt = time_step(sol, MU)
     y0 = amplitude * sol.strain
     traj = integrate(sol, MU, y0=y0, dt=dt, n_steps=20 * STEPS_PER_PERIOD)
     expected = verlet_breathing_frequency(K, MU, dt, y0)
