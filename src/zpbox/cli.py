@@ -24,21 +24,24 @@ are raised before any file is opened, and each output is written under a
 temporary name in the output directory and renamed into place only once
 every output of the run is written, so a failed run leaves no output file.
 
-Threads: the CLI makes no BLAS call, so importing this module defaults
-``OPENBLAS_NUM_THREADS`` to 1 before numpy loads; otherwise numpy's
-OpenBLAS starts one thread per further CPU, which busy-wait for about
-0.1 s.  A value already in the environment wins.  The library
+Threads and processes: the CLI makes no BLAS call, so importing this
+module defaults ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads; otherwise
+numpy's OpenBLAS starts one thread per further CPU, which busy-wait for
+about 0.1 s.  A value already in the environment wins.  The library
 (``import zpbox``) leaves the environment alone, and loads numpy only on
-first use.
+first use.  The run's own process writes every output; a CSV is formatted
+by numpy a block of rows at a time (``_CsvFormatter``), each value exactly
+the text of ``format(v, ".17g")``.
 """
 
 import argparse
-import itertools
+import functools
 import json
 import math
 import os
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -367,6 +370,10 @@ def _validate_scenario(s: Scenario) -> None:
     if s.command in ("equilibrium", "thermal", "dynamics"):
         if not si_given and s.K is None:
             raise UsageError(f"{s.command} needs --K or the SI flags")
+        for name in _SYSTEM:  # each system flag given, checked under its name
+            value = getattr(s, _FLAGS[name].field)
+            if value is not None:
+                model.check_positive(value, f"--{name}")
     if s.command in ("thermal", "sweep"):
         thermal = s.command == "thermal"
         flag, grid = ("t-grid", s.t_grid) if thermal else ("K-grid", s.k_grid)
@@ -412,112 +419,295 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
     return s.K, s.mu, None
 
 
-# rows formatted by one % operation; bounds the text held in memory at once
-_CSV_BLOCK_ROWS = 4096
+# rows formatted in one numpy pass; its work arrays take about 330 bytes a
+# value, 2.4 MB at 7 columns
+_CSV_BLOCK_ROWS = 1024
 
-# a block travels from a worker to the parent as its byte length, then its bytes
-_FRAME_LENGTH_BYTES = 8
+# Every value of a block is first written into the same 52-byte superset
+# text (13 little-endian uint32 words), of which its ".17g" text is a
+# subsequence; D0 ... D16 are the value's 17 significant digits:
+#
+#   byte  0 "-"   1-2 "0."   4-7 "000" D0   8-23 D1 ... D16   27 "."
+#        28-43 D1 ... D16   44-48 "e" sign and three exponent digits
+#        51 the separator ("," or "\n"); bytes 3, 24-26 and 49-50 are padding
+#
+# A keep row of 52 booleans, looked up by the value's shape (notation,
+# number of significant digits, sign), picks its bytes: 1.5 is "1" (7),
+# "." (27) and "5" (28); 0.0625 is "0." (1-2), "0" (6) and "625" (7-9);
+# 1.52587890625e-05 is "1" (7), "." (27), "52587890625" (28-38) and "e-05"
+# (44, 45, 47, 48).
+_CSV_WORDS = 13
+_CSV_WIDTH = 4 * _CSV_WORDS
+_CSV_SEP = _CSV_WIDTH - 1
+# shapes: X = -4 ... 16 print in fixed notation, others in exponent notation
+# with two or three exponent digits; 17 digit counts; two signs
+_CSV_SHAPES = (21 + 2) * 17 * 2
+# the tables' range: 10**k for k = X + 1 and 16 - X, and the exponent text
+# and shape of X (up to 309 after rounding), for every double's decimal
+# exponent X = floor(log10 |v|) in [-324, 308]
+_MIN_POWER, _MAX_POWER = -324, 340
 
 
-def _csv_processes() -> int:
-    """How many processes may format CSV blocks: one per CPU this process
-    may run on, or 1 where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# Lookup tables of the vectorised "%.17g", indexed as noted:
+#   near[k - _MIN_POWER]   10**k rounded to the nearest long double
+#   ceil[k - _MIN_POWER]   the smallest double >= 10**k
+#   tie                    3u, u the unit roundoff of np.longdouble
+#   digits[n], zeros[n]    "%04d" % n as a uint32, and its trailing zeros
+#   exponent[X - _MIN_POWER]   "e", sign and three digits, as two words
+#   shape[X - _MIN_POWER]  the keep row of 17 digits, positive
+#   keep[shape]            the bytes kept; _CSV_SHAPES + L keeps the first L
+_CsvTables = namedtuple(
+    "_CsvTables", "near ceil tie digits zeros exponent shape keep"
+)
 
 
-def _format_block(line: str, columns, start: int) -> str:
-    """The CSV text of rows [start, start + _CSV_BLOCK_ROWS), one % in all."""
-    block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-    values = tuple(itertools.chain.from_iterable(zip(*block)))
-    return (line * len(block[0])) % values
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """10**k for k in [_MIN_POWER, _MAX_POWER]: rounded to the nearest
+    64-bit-significand long double, and rounded up to a double."""
+    near, ceil, shifts = [], [], []
+    power = 1
+    powers = []
+    for _ in range(max(-_MIN_POWER, _MAX_POWER) + 1):
+        powers.append(power)
+        power *= 10
+    for k in range(_MIN_POWER, _MAX_POWER + 1):
+        if k >= 0:  # 10**k = (m + r/half) 2**shift
+            half = 1 << max(powers[k].bit_length() - 64, 0)
+            m, r = divmod(powers[k], half)
+            shifts.append(half.bit_length() - 1)
+        else:  # 10**k = (m + r/half) 2**shift, half = 10**-k
+            half = powers[-k]
+            shifts.append(-63 - half.bit_length())
+            m, r = divmod(1 << -shifts[-1], half)
+        near.append(m + (2 * r > half or (2 * r == half and m & 1)))
+        ceil.append(m + (r > 0))
+
+    def longdouble(significands):  # exact: two 32-bit halves
+        high = np.array([m >> 32 for m in significands], np.uint64)
+        low = np.array([m & 0xFFFFFFFF for m in significands], np.uint64)
+        return np.ldexp(high.astype(np.longdouble) * 2**32 + low, shifts)
+
+    with np.errstate(over="ignore", under="ignore"):
+        up = longdouble(ceil)  # a double v >= 10**k exactly when v >= up
+        double = up.astype(np.float64)
+        double = np.where(double < up, np.nextafter(double, np.inf), double)
+    return longdouble(near), double
 
 
-def _csv_worker(fd: int, read_fds, line: str, columns, starts) -> None:
-    """Forked child: format the blocks at ``starts`` into pipe ``fd`` as
-    length-prefixed frames, then leave through ``os._exit``, never returning
-    into the parent's stack (1 on any exception, 0 on success).
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """The tables, built on the first CSV block, never at import."""
+    near, ceil = _powers_of_ten()
+    ten = np.arange(10, dtype=np.uint8)
+    group = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), axis=-1)
+    digits = (group + ord("0")).view(np.uint32).ravel()  # group n = "%04d" % n
+    i, j, k, m = (group[..., d] == 0 for d in range(4))  # digit d is 0
+    zeros = (m * (1 + k * (1 + j * (1 + i)))).astype(np.uint8).ravel()
 
-    It first closes the read ends it inherited (``read_fds``), so that once
-    the parent closes a pipe, the worker writing into it gets EPIPE.
+    x = np.arange(_MIN_POWER, _MAX_POWER + 1)
+    ax = np.abs(x)
+    exponent = np.zeros((len(x), 8), np.uint8)
+    exponent[:, 0] = ord("e")
+    exponent[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    for col, scale in enumerate((100, 10, 1), start=2):
+        exponent[:, col] = ord("0") + ax // scale % 10
+    notation = np.where((-4 <= x) & (x <= 16), x + 4, 21 + (ax >= 100))
+    # row (notation 17 + s - 1) 2 + sign, s = 17 - trailing zeros
+    shape = notation * 34 + 2 * 16
+
+    # keep[notation, s - 1, sign, byte]; X = -4 ... 16, then the exponents
+    p = np.arange(_CSV_WIDTH)
+    X = np.arange(-4, 17)[:, None, None]
+    s = np.arange(1, 18)[None, :, None]
+    after = (p == 27) & (s > X + 1) | (28 + X <= p) & (p <= 26 + s)
+    fixed = np.where(
+        X >= 0,
+        (7 <= p) & (p <= 7 + X) | after,  # D0 ... DX "." D(X+1) ...
+        (1 <= p) & (p <= 2) | (8 + X <= p) & (p < 7 + s),  # "0." zeros D0 ...
+    )
+    three = np.array([False, True])[:, None, None]  # three exponent digits
+    exp = (p == 7) | (p == 27) & (s > 1) | (28 <= p) & (p <= 26 + s)
+    exp = exp | (p == 44) | (p == 45) | (p == 46) & three | (p == 47) | (p == 48)
+    keep = np.concatenate([fixed, np.broadcast_to(exp, (2, 17, _CSV_WIDTH))])
+    keep = np.stack([keep, keep | (p == 0)], axis=2).reshape(-1, _CSV_WIDTH)
+    raw = p < np.arange(_CSV_WIDTH)[:, None]  # the first L bytes, as written
+    keep = np.concatenate([keep, raw]) | (p == _CSV_SEP)
+
+    # the error bound needs IEEE rounding: x87 extended or binary128
+    ld = np.finfo(np.longdouble)
+    tie = 3 * float(ld.eps) / 2 if ld.nmant in (63, 112) else math.inf
+    return _CsvTables(
+        near, ceil, tie, digits, zeros, exponent.view(np.uint32), shape, keep
+    )
+
+
+class _CsvFormatter:
+    """Formats equal-length columns as CSV text, a block of rows at a time.
+
+    Each value prints exactly as ``format(float(v), ".17g")``, or as
+    ``str(int(v))`` in an integer column.  One pass of numpy calls formats
+    a block into work arrays allocated here, once: arrays allocated afresh
+    for each block page-faulted anew (about 45 000 faults and 0.05 s of CPU
+    on a 10**5-row dynamics CSV).
     """
-    status = 1
-    try:
-        for read_fd in read_fds:
-            os.close(read_fd)
-        with open(fd, "wb") as pipe:
-            for start in starts:
-                data = _format_block(line, columns, start).encode()
-                pipe.write(len(data).to_bytes(_FRAME_LENGTH_BYTES, "little"))
-                pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
 
+    def __init__(self, columns):
+        self.columns = columns
+        n = _CSV_BLOCK_ROWS * len(columns)
+        self.values = np.empty(n)  # the block, row-major
+        self.a = np.empty(n)  # |v|, then the rounding bound
+        self.f = np.empty(n)
+        self.e = np.empty(n, np.intc)
+        self.x = np.empty(n, np.intp)  # decimal exponent X
+        self.i = np.empty(n, np.intp)
+        self.b = np.empty(n, bool)
+        self.slow = np.empty(n, bool)  # formatted by Python
+        self.y = np.empty(n, np.longdouble)
+        self.d = np.empty(n, np.int64)  # the 17 digits, then D0
+        self.q = np.empty(n, np.int64)
+        self.groups = np.empty((n, 4), np.intp)  # D1-D4 ... D13-D16
+        self.zeros = np.empty((n, 4), np.uint8)
+        self.shape = np.empty(n, np.intp)
+        self.lead = np.empty(n, np.uint32)
+        self.digits = np.empty((n, 4), np.uint32)
+        self.exponent = np.empty((n, 2), np.uint32)
+        self.words = np.empty((n, _CSV_WORDS), np.uint32)
+        self.keep = np.empty((n, _CSV_WIDTH), bool)
+        seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+        self.seps = np.array(seps, np.uint32) << 24  # the last byte of word 12
 
-def _read_frame(pipe) -> bytes:
-    """The next block a worker sent; ZpboxError if the frame is short."""
-    prefix = pipe.read(_FRAME_LENGTH_BYTES)
-    if len(prefix) == _FRAME_LENGTH_BYTES:
-        size = int.from_bytes(prefix, "little")
-        data = pipe.read(size)
-        if len(data) == size:
-            return data
-    raise ZpboxError("a CSV formatting process ended before sending its block")
+    @np.errstate(over="ignore", invalid="ignore")  # inf where u is too wide
+    def block(self, start: int) -> np.ndarray:
+        """The CSV bytes of rows [start, start + _CSV_BLOCK_ROWS), valid
+        until the next call."""
+        t = _csv_tables()
+        block = [c[start : start + _CSV_BLOCK_ROWS] for c in self.columns]
+        rows, width = len(block[0]), len(block)
+        n = rows * width
+        values, a, f, e, x, i, b, slow, y, d, q, shape = (
+            w[:n]
+            for w in (
+                self.values, self.a, self.f, self.e, self.x, self.i, self.b,
+                self.slow, self.y, self.d, self.q, self.shape,
+            )
+        )  # fmt: skip
+        groups, zeros, words = self.groups[:n], self.zeros[:n], self.words[:n]
+        np.stack(block, axis=1, out=values.reshape(rows, width))
+        np.abs(values, out=a)
+        np.isfinite(a, out=b)
+        np.equal(a, 0.0, out=slow)
+        np.logical_not(b, out=b)
+        slow |= b
+        exact = {}  # flat index -> text, for integers that a double rounds
+        for j, c in enumerate(block):
+            if np.issubdtype(c.dtype, np.integer):
+                big = np.flatnonzero((c >= 2**53) | (c <= -(2**53)))
+                flat = big * width + j
+                exact.update(zip(flat.tolist(), map(str, c[big].tolist())))
+                slow[flat] = True
+        np.copyto(a, 1.0, where=slow)
+
+        # The 17 digits d and decimal exponent X of a = |v|: d = round(y) for
+        # y = a 10**(16 - X) in [10**16, 10**17).  First X: frexp gives
+        # a = m 2**e, m in [1/2, 1), so X is floor((e - 1) log10 2) or one
+        # more, which the comparison with the smallest double >= 10**(X + 1)
+        # decides exactly.  Then y: with P = 10**(16 - X) rounded to nearest
+        # and u the long double unit roundoff, the computed y' = a P (1 + d1)
+        # (1 + d2), |d1|, |d2| <= u, so |y' - y| <= (2u + u**2) y < 3u y'.
+        # y' < 2**57 keeps at least 7 fractional bits, so its integer part
+        # and fraction f are exact.  Unless f is within 3u y' of 1/2 (the
+        # margin 2**-50 covers the rounding of the bound itself), y and y'
+        # lie on the same side of that half-integer, and round(y) =
+        # floor(y') + (f > 1/2): correctly rounded, as Python's dtoa rounds.
+        # Those near ties, about 1 % of the values, and every value where
+        # long double is not wider than double (the bound is then inf), take
+        # Python's own format.
+        np.frexp(a, f, e)
+        e -= 1
+        e *= 78913
+        e >>= 18  # floor((e - 1) log10 2), exact for |e - 1| < 1651
+        np.copyto(x, e)
+        np.add(x, 1 - _MIN_POWER, out=i)
+        np.take(t.ceil, i, out=f, mode="clip")
+        np.greater_equal(a, f, out=b)
+        x += b
+        np.subtract(16 - _MIN_POWER, x, out=i)
+        np.take(t.near, i, out=y, mode="clip")
+        y *= a
+        np.copyto(d, y, casting="unsafe")  # floor(y')
+        np.subtract(y, d, out=f)
+        np.multiply(y, t.tie, out=a)
+        a += 2.0**-50
+        np.greater(f, 0.5, out=b)
+        d += b
+        f -= 0.5
+        np.abs(f, out=f)
+        np.greater(f, a, out=b)  # false for nan too
+        np.logical_not(b, out=b)
+        slow |= b
+        np.equal(d, 10**17, out=b)  # rounded up a decade: one digit, X + 1
+        np.copyto(d, 10**16, where=b)
+        x += b
+
+        # d = D0 D1 ... D16: the leading digit, four groups of four digits,
+        # and the count of trailing zeros, z3 + [g3 = 0](z2 + [g2 = 0](z1 +
+        # [g1 = 0] z0)) for the groups' own trailing zeros zk
+        np.divmod(d, 10**8, out=(q, i))
+        np.divmod(i, 10_000, out=(groups[:, 2], groups[:, 3]))
+        np.divmod(q, 10**8, out=(d, q))
+        np.divmod(q, 10_000, out=(groups[:, 0], groups[:, 1]))
+        np.take(t.digits, groups, out=self.digits[:n], mode="clip")
+        np.take(t.zeros, groups, out=zeros, mode="clip")
+        np.equal(groups, 0, out=groups)
+        trailing = zeros[:, 0]
+        for k in (1, 2, 3):
+            np.multiply(trailing, groups[:, k], out=trailing, casting="unsafe")
+            trailing += zeros[:, k]
+        x -= _MIN_POWER
+        np.take(t.shape, x, out=shape, mode="clip")
+        trailing *= 2
+        shape -= trailing
+        np.signbit(values, out=b)
+        shape += b
+
+        words[:, 0] = int.from_bytes(b"-0. ", "little")
+        np.take(t.digits, d, out=self.lead[:n], mode="clip")
+        words[:, 1] = self.lead[:n]
+        words[:, 2:6] = self.digits[:n]
+        words[:, 6] = int.from_bytes(b"   .", "little")
+        words[:, 7:11] = self.digits[:n]
+        np.take(t.exponent, x, axis=0, out=self.exponent[:n], mode="clip")
+        words[:, 11:13] = self.exponent[:n]
+        words.reshape(rows, width, _CSV_WORDS)[:, :, 12] |= self.seps
+
+        text = words.view(np.uint8)
+        index = np.flatnonzero(slow)
+        if len(index):
+            texts = [
+                exact.get(k) or format(v, ".17g")
+                for k, v in zip(index.tolist(), values[index].tolist())
+            ]
+            raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
+            text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
+            shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
+        return text[np.take(t.keep, shape, axis=0, out=self.keep[:n], mode="clip")]
 
 
 def _write_csv(path: Path, header, columns) -> None:
     """Write equal-length columns as CSV under a header line.
 
-    Integer columns print as ``%d`` and all others as ``%.17g``, the same
-    text as ``str(int(v))`` and ``format(float(v), ".17g")``.  Rows are
-    formatted a block of ``_CSV_BLOCK_ROWS`` at a time by P processes, P =
-    min(``_csv_processes()``, number of blocks).  Before the file is opened
-    the parent forks P - 1 workers; worker j formats blocks j, j + P, ...
-    and sends each through its own pipe.  The parent formats blocks 0, P,
-    2P, ..., reads the others in order and writes every block in block
-    order, so the bytes do not depend on P.  The file is opened in binary
-    mode: each block is encoded once, by the process that formatted it, and
-    worker frames are written as received.  Each process holds at most one
-    formatted block, so the whole file is never held as one string.  With
-    P = 1 (one block, one CPU, or no ``os.fork``) nothing is forked.  A
-    worker that fails or sends a short frame raises ZpboxError; every
-    worker is reaped before this returns or raises.
+    Integer columns print as ``str(int(v))`` and all others as
+    ``format(float(v), ".17g")``, byte for byte.  One process formats the
+    rows a block of ``_CSV_BLOCK_ROWS`` at a time (``_CsvFormatter``) and
+    writes each block before it formats the next, so the whole file is
+    never held in memory.
     """
     columns = [np.asarray(c) for c in columns]
-    line = ",".join(
-        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
-    ) + "\n"
-    starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
-    n_procs = min(_csv_processes(), len(starts))
-    workers = []  # (pid, read end of its pipe), for blocks j, j + P, ...
-    try:
-        for j in range(1, n_procs):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                read_fds = [read_fd, *(pipe.fileno() for _, pipe in workers)]
-                _csv_worker(write_fd, read_fds, line, columns, starts[j::n_procs])
-            os.close(write_fd)
-            workers.append((pid, open(read_fd, "rb")))
-        with path.open("wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for k, start in enumerate(starts):
-                j = k % n_procs
-                if j == 0:
-                    fh.write(_format_block(line, columns, start).encode())
-                else:  # the bytes the worker encoded
-                    fh.write(_read_frame(workers[j - 1][1]))
-    finally:
-        # close the pipes first, so a worker blocked on a write sees EPIPE
-        for _, pipe in workers:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
-    if any(statuses):
-        raise ZpboxError("a CSV formatting process failed")
+    formatter = _CsvFormatter(columns)
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            fh.write(formatter.block(start))
 
 
 def summary_dict(summary: RunSummary) -> dict:

@@ -474,15 +474,16 @@ _SPECIAL_FLOATS = (
     "n_rows",
     [
         1,
-        _CSV_BLOCK_ROWS - 1,
-        _CSV_BLOCK_ROWS,
-        _CSV_BLOCK_ROWS + 1,
-        # every worker owns blocks, and the last block is partial
-        3 * _CSV_BLOCK_ROWS + 1,
-        7 * _CSV_BLOCK_ROWS - 5,
+        # a block boundary, after four whole blocks
+        4 * _CSV_BLOCK_ROWS - 1,
+        4 * _CSV_BLOCK_ROWS,
+        4 * _CSV_BLOCK_ROWS + 1,
+        # more blocks, the last one partial
+        12 * _CSV_BLOCK_ROWS + 1,
+        28 * _CSV_BLOCK_ROWS - 5,
     ],
 )
-def test_write_csv_matches_per_value_formatting(tmp_path, monkeypatch, n_rows):
+def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     k = len(_SPECIAL_FLOATS)
     ints = np.arange(n_rows, dtype=np.int64) * 7919 - 3
@@ -502,47 +503,116 @@ def test_write_csv_matches_per_value_formatting(tmp_path, monkeypatch, n_rows):
         lines.append(",".join(fields))
     expected = ("\n".join(lines) + "\n").encode()
 
-    for processes in (1, 2, 3):
-        monkeypatch.setattr(cli, "_csv_processes", lambda: processes)
-        path = tmp_path / f"golden{processes}.csv"
-        _write_csv(path, header, columns)
-        assert path.read_bytes() == expected
+    path = tmp_path / "golden.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == expected
 
 
-_DYNAMICS_20 = ["dynamics", "--K", "2", "--n-periods", "20"]  # 5 CSV blocks
-_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+_DYNAMICS_20 = ["dynamics", "--K", "2", "--n-periods", "20"]  # 2001 CSV rows
 
 
-def test_dynamics_csv_bytes_do_not_depend_on_the_process_count(
+def _per_value_csv(header, columns) -> bytes:
+    """The CSV text one value at a time, as ``_write_csv`` must write it."""
+    lines = [",".join(header)]
+    for row in zip(*(np.asarray(c).tolist() for c in columns)):
+        lines.append(
+            ",".join(
+                str(v) if isinstance(v, int) else format(v, ".17g") for v in row
+            )
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_dynamics_csv_matches_per_value_formatting(tmp_path, monkeypatch):
+    tables = []
+    write_csv = cli._write_csv
+
+    def keep(path, header, columns):
+        tables.append((list(header), list(columns)))
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", keep)
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 0
+    [(header, columns)] = tables
+    assert len(columns[0]) > _CSV_BLOCK_ROWS  # more than one block
+    expected = _per_value_csv(header, columns)
+    assert (tmp_path / "dynamics.csv").read_bytes() == expected
+
+
+def _powers_of_ten_and_neighbours():
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    below = [math.nextafter(v, 0.0) for v in powers]
+    above = [math.nextafter(v, math.inf) for v in powers]
+    return powers + below + above
+
+
+# 0, inf and nan, the double range's ends, and every decade's edges
+_EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    *_powers_of_ten_and_neighbours(),
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_csv_formats_edge_values_exactly(tmp_path, sign):
+    values = np.array(_EDGE_FLOATS) * sign
+    columns = [values[: len(values) // 3 * 3][j::3] for j in range(3)]
+    path = tmp_path / "edges.csv"
+    _write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
+
+
+def test_undecided_rounding_takes_pythons_format(tmp_path, monkeypatch):
+    # 2**-25 is a tie at 17 digits (...3125, to even: ...312), and
+    # 0.6353867998907108 is 0.635386799890710785..., within the bound of one
+    decided = 0.1
+    undecided = [2.0**-25, 0.6353867998907108]
+    formatted = []
+
+    def spy(value, spec):
+        formatted.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(cli, "format", spy, raising=False)
+    columns = [np.array([decided, *undecided])]
+    path = tmp_path / "ties.csv"
+    _write_csv(path, ["v"], columns)
+    assert formatted == undecided
+    expected = b"v\n0.10000000000000001\n2.9802322387695312e-08\n0.63538679989071079\n"
+    assert path.read_bytes() == expected
+
+
+def test_csv_without_a_wide_long_double_formats_every_value_in_python(
     tmp_path, monkeypatch
 ):
-    assert main([*_DYNAMICS_20, "--out", str(tmp_path / "default")]) == 0
-    monkeypatch.setattr(cli, "_csv_processes", lambda: 1)
-    assert main([*_DYNAMICS_20, "--out", str(tmp_path / "one")]) == 0
-    default = (tmp_path / "default" / "dynamics.csv").read_bytes()
-    assert default == (tmp_path / "one" / "dynamics.csv").read_bytes()
+    # where long double is binary64, the rounding bound decides no value
+    tables = cli._csv_tables()._replace(tie=math.inf)
+    monkeypatch.setattr(cli, "_csv_tables", lambda: tables)
+    rng = np.random.default_rng(5)
+    columns = [
+        np.array([1, -(2**53) - 1, 2**53, 0]),
+        np.array([0.1, -0.0, math.nan, 1e300]),
+        rng.integers(0, 2**64, 4, dtype=np.uint64).view(np.float64),
+    ]
+    path = tmp_path / "python.csv"
+    _write_csv(path, ["n", "x", "y"], columns)
+    assert path.read_bytes() == _per_value_csv(["n", "x", "y"], columns)
 
 
-@_NEEDS_FORK
-def test_failing_csv_worker_is_one_error_line_and_is_reaped(
-    tmp_path, monkeypatch, capsys
-):
-    parent = os.getpid()
-    format_block = cli._format_block
-
-    def fails_in_a_worker(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("worker failure")
-        return format_block(*args)
-
-    monkeypatch.setattr(cli, "_format_block", fails_in_a_worker)
-    monkeypatch.setattr(cli, "_csv_processes", lambda: 2)
-    assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("zpbox: error: ") and err.count("\n") == 1
-    with pytest.raises(ChildProcessError):  # no worker outlives the call
-        os.waitpid(-1, os.WNOHANG)
-    assert list(tmp_path.iterdir()) == []  # no truncated CSV, no temporary
+def test_integer_columns_beyond_two_to_the_53_print_every_digit(tmp_path):
+    big = [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**62 + 3, 10**18]
+    ints = np.array(big + [0, -7], dtype=np.int64)
+    columns = [ints, ints.astype(np.float64)]
+    path = tmp_path / "ints.csv"
+    _write_csv(path, ["n", "x"], columns)
+    assert path.read_bytes() == _per_value_csv(["n", "x"], columns)
 
 
 def test_successful_run_leaves_only_its_outputs(tmp_path):
@@ -571,32 +641,9 @@ def test_rerun_that_fails_keeps_the_previous_outputs(tmp_path, monkeypatch):
     def fails(*args):
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(cli, "_format_block", fails)
+    monkeypatch.setattr(cli._CsvFormatter, "block", fails)
     assert main(argv) == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-
-
-@_NEEDS_FORK
-def test_csv_that_cannot_be_opened_reaps_its_blocked_workers(tmp_path, monkeypatch):
-    # each worker blocks writing a block larger than a pipe holds, until the
-    # parent's failed open closes the pipes
-    monkeypatch.setattr(cli, "_csv_processes", lambda: 3)
-    columns = [np.arange(7 * _CSV_BLOCK_ROWS) / 3.0]  # 17 digits a row
-    with pytest.raises(FileNotFoundError):
-        _write_csv(tmp_path / "missing" / "x.csv", ["x"], columns)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_one_block_csv_never_forks(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("os.fork called for a one-block CSV")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    monkeypatch.setattr(cli, "_csv_processes", lambda: 3)
-    argv = ["thermal", "--K", "2", "--t-grid", "0:60:0.1", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert len((tmp_path / "thermal.csv").read_text().splitlines()) == 602
 
 
 # names a zpbox import must not load: the library needs none of them
@@ -657,6 +704,13 @@ _NEEDS_PROC = pytest.mark.skipif(
             "None",
             {},
             id="library-leaves-environment",
+        ),
+        pytest.param(
+            "import zpbox.cli",
+            "zpbox.cli._csv_tables.cache_info().currsize",
+            "0",
+            {},
+            id="cli-builds-no-csv-table",
         ),
         pytest.param(
             "import zpbox",
@@ -867,6 +921,16 @@ def test_cli_uses_no_private_name_of_another_zpbox_module():
         and node.attr in ("sqrt", "pi")
     ]
     assert restated == []
+    # one process writes the CSV: it forks no worker and waits for none
+    forks = [
+        f"line {node.lineno}: os.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+        and node.attr in ("fork", "pipe", "_exit", "waitpid")
+    ]
+    assert forks == []
 
 
 def test_every_scenario_field_has_exactly_one_flag():
@@ -950,6 +1014,20 @@ def test_out_of_range_system_is_a_usage_error(tmp_path, capsys, argv):
     if "--wall-mass" in argv:  # names the SI flags given, not --mu
         assert "--wall-mass 1.8718912450931243e+120 and --particle-mass 1.0" in err
         assert "--dt-factor 10.0" in err and "--mu" not in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--K", "--particle-mass", "--box-size", "--spring-stiffness", "--wall-mass"],
+)
+@pytest.mark.parametrize("value", ["-2e0", "0"])
+def test_every_system_flag_is_named_in_its_own_error(tmp_path, capsys, flag, value):
+    argv = ["equilibrium", "--K", "2"] if flag == "--K" else ["equilibrium", *_SI_FLAGS]
+    argv[argv.index(flag) + 1] = value
+    assert main([*argv, "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    got = float(value)
+    assert err == f"zpbox: error: {flag} must be positive and finite, got {got!r}\n"
 
 
 @pytest.mark.parametrize("dt_factor", ["3.5", "6"])

@@ -11,12 +11,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import golden_section_fraction, strain_bisection
 from zpbox import ValidationError, minimize_oracle, solve_equilibrium, time_step
-from zpbox.cli import main
+from zpbox.cli import _CsvFormatter, main
 from zpbox.spectrum import MAX_SIZE, MIN_SIZE
 
 positive_floats = st.floats(
@@ -45,9 +46,24 @@ def _grid(values):
     return lists.map(lambda grid: ",".join(map(repr, sorted(grid))))
 
 
+@given(
+    patterns=st.binary(min_size=4 * 8, max_size=32 * 8),  # any 64-bit pattern
+    floats=st.lists(st.floats(), max_size=16),  # nan, inf, subnormals
+    n_columns=st.integers(1, 4),
+)
+def test_csv_block_is_the_per_value_format(patterns, floats, n_columns):
+    values = np.frombuffer(patterns[: len(patterns) // 8 * 8], "<f8").tolist()
+    values += floats
+    rows = len(values) // n_columns
+    table = np.array(values[: rows * n_columns]).reshape(rows, n_columns)
+    lines = [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+    expected = "".join(line + "\n" for line in lines).encode()
+    assert _CsvFormatter(list(table.T)).block(0).tobytes() == expected
+
+
 _COMMANDS = ("spectrum", "equilibrium", "thermal", "dynamics", "sweep")
 _SI = ("particle-mass", "box-size", "spring-stiffness")
-# tables stay small (n-max, n-periods, grid lengths), so no CSV forks
+# tables stay small (n-max, n-periods, grid lengths)
 _FLAGS = {
     "K": finite_floats,
     "mu": st.none() | finite_floats,
@@ -62,6 +78,15 @@ _FLAGS = {
     | st.floats(min_value=-1000.0, max_value=1000.0),
     "n-periods": st.integers(1, 3),
     "formats": st.sampled_from(["csv", "json", "csv,json"]),
+}
+# a dynamics run that the time-step rule accepts: K log-uniform over the
+# sweep's range, omega*dt = 2 pi/dt_factor below 2, a short run
+_RUNNABLE_DYNAMICS = {
+    "K": st.floats(-2.0, 8.0).map(lambda e: 10.0**e),
+    "mu": st.none() | st.floats(0.0, 6.0).map(lambda e: 10.0**e),
+    "y0-frac": st.floats(min_value=0.0, max_value=0.5),
+    "dt-factor": st.floats(min_value=math.pi, max_value=1000.0, exclude_min=True),
+    "n-periods": st.integers(1, 3),
 }
 
 
@@ -79,9 +104,12 @@ def _argvs(draw):
     if command in ("equilibrium", "thermal", "dynamics"):
         system = ["K", "mu"] if draw(st.booleans()) else [*_SI, "wall-mass"]
         names += [n for n in system if n != "mu" or command == "dynamics"]
+    flags = _FLAGS
+    if command == "dynamics" and draw(st.integers(0, 2)):  # two in three run
+        names, flags = list(_RUNNABLE_DYNAMICS), {**_FLAGS, **_RUNNABLE_DYNAMICS}
     argv = [command]
     for name in [*names, "formats"]:
-        value = draw(_FLAGS[name])
+        value = draw(flags[name])
         if value is not None:
             argv += [f"--{name}", value if isinstance(value, str) else repr(value)]
     return argv
@@ -117,6 +145,16 @@ def test_cli_writes_correct_outputs_or_one_error_line_and_no_file(argv):
         if f"{command}_summary.json" in left and command == "equilibrium":
             data = json.loads((out / "equilibrium_summary.json").read_text())
             assert _strain_matches(data["K"], data["strain"])
+        for name in left:  # every field is its own value's canonical text
+            if name.endswith(".csv"):
+                header, *lines = (out / name).read_text().splitlines()
+                integer = [key == "n" for key in header.split(",")]
+                for line in lines:
+                    for is_int, field in zip(integer, line.split(","), strict=True):
+                        if is_int:  # spectrum's n
+                            assert field == str(int(field))
+                        else:
+                            assert field == format(float(field), ".17g")
         if "sweep.csv" in left:
             rows = (out / "sweep.csv").read_text().splitlines()[1:]
             for row in rows:
