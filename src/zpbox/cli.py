@@ -451,7 +451,7 @@ _MIN_POWER, _MAX_POWER = -324, 340
 # Lookup tables of the vectorised "%.17g", indexed as noted:
 #   near[k - _MIN_POWER]   10**k rounded to the nearest long double
 #   ceil[k - _MIN_POWER]   the smallest double >= 10**k
-#   tie                    3u, u the unit roundoff of np.longdouble
+#   tie                    3u, u = 2**-64 the relative error of near
 #   digits[n], zeros[n]    "%04d" % n as a uint32, and its trailing zeros
 #   exponent[X - _MIN_POWER]   "e", sign and three digits, as two words
 #   shape[X - _MIN_POWER]  the keep row of 17 digits, positive
@@ -533,12 +533,23 @@ def _csv_tables() -> _CsvTables:
     raw = p < np.arange(_CSV_WIDTH)[:, None]  # the first L bytes, as written
     keep = np.concatenate([keep, raw]) | (p == _CSV_SEP)
 
-    # the error bound needs IEEE rounding: x87 extended or binary128
-    ld = np.finfo(np.longdouble)
-    tie = 3 * float(ld.eps) / 2 if ld.nmant in (63, 112) else math.inf
+    tie = _rounding_bound(np.finfo(np.longdouble).nmant)
     return _CsvTables(
         near, ceil, tie, digits, zeros, exponent.view(np.uint32), shape, keep
     )
+
+
+def _rounding_bound(nmant: int) -> float:
+    """The relative error bound 3u of ``y' = a near[16 - X]``, for a long
+    double with ``nmant`` stored significand bits.
+
+    ``near`` is rounded to a 64-bit significand, so u = 2**-64 bounds its
+    error and the product's rounding alike, for x87 extended (nmant 63)
+    and binary128 (nmant 112), whose own rounding is finer.  Any other
+    long double (binary64, or PowerPC's double-double, which does not
+    round as IEEE does) gets no bound: every value takes Python's format.
+    """
+    return 3 * 2.0**-64 if nmant in (63, 112) else math.inf
 
 
 class _CsvFormatter:
@@ -611,17 +622,20 @@ class _CsvFormatter:
         # y = a 10**(16 - X) in [10**16, 10**17).  First X: frexp gives
         # a = m 2**e, m in [1/2, 1), so X is floor((e - 1) log10 2) or one
         # more, which the comparison with the smallest double >= 10**(X + 1)
-        # decides exactly.  Then y: with P = 10**(16 - X) rounded to nearest
-        # and u the long double unit roundoff, the computed y' = a P (1 + d1)
-        # (1 + d2), |d1|, |d2| <= u, so |y' - y| <= (2u + u**2) y < 3u y'.
-        # y' < 2**57 keeps at least 7 fractional bits, so its integer part
-        # and fraction f are exact.  Unless f is within 3u y' of 1/2 (the
-        # margin 2**-50 covers the rounding of the bound itself), y and y'
-        # lie on the same side of that half-integer, and round(y) =
-        # floor(y') + (f > 1/2): correctly rounded, as Python's dtoa rounds.
-        # Those near ties, about 1 % of the values, and every value where
-        # long double is not wider than double (the bound is then inf), take
-        # Python's own format.
+        # decides exactly.  Then y: P = 10**(16 - X) is rounded to a 64-bit
+        # significand, and the product to the long double's own (64 or 113
+        # bits), so with u = 2**-64 the computed y' = a P (1 + d1) (1 + d2),
+        # |d1|, |d2| <= u, and |y' - y| <= (2u + u**2) y < 3u y'
+        # (_rounding_bound).  y' < 2**57 keeps at least 7 fractional bits,
+        # so its integer part is exact, and so is its fraction f as a double
+        # but for at most 2**-53 where long double is binary128.  Unless f is
+        # within 3u y' of 1/2 (the margin 2**-50 covers that and the
+        # rounding of the bound itself), y and y' lie on the same side of
+        # that half-integer, and round(y) = floor(y') + (f > 1/2): correctly
+        # rounded, as Python's dtoa rounds.  Those near ties, about 1 % of
+        # the values, and every value where long double is neither x87
+        # extended nor binary128 (the bound is then inf), take Python's own
+        # format.
         np.frexp(a, f, e)
         e -= 1
         e *= 78913

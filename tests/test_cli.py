@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,52 @@ def test_csv_without_a_wide_long_double_formats_every_value_in_python(
     path = tmp_path / "python.csv"
     _write_csv(path, ["n", "x", "y"], columns)
     assert path.read_bytes() == _per_value_csv(["n", "x", "y"], columns)
+
+
+@pytest.mark.parametrize("nmant", [63, 112])
+def test_rounding_bound_covers_the_power_tables_error(nmant):
+    # near holds 10**k to a 64-bit significand whatever the long double,
+    # so the bound must cover a 2**-64 error in P for binary128 too
+    u = Fraction(1, 2**64)
+    near = cli._csv_tables().near
+    for k, p in zip(range(cli._MIN_POWER, cli._MAX_POWER + 1), near):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= u * exact
+    assert cli._rounding_bound(nmant) >= 3 * u
+
+
+@pytest.mark.parametrize("nmant", [52, 105])  # binary64, double-double
+def test_other_long_doubles_get_no_rounding_bound(nmant):
+    assert cli._rounding_bound(nmant) == math.inf
+
+
+# decades where 10**(16 - X) is not exact in 64 bits: each value is decided
+# wrongly by a bound that leaves out the power table's own error
+_MISROUNDED_BY_A_NARROW_BOUND = [
+    -5.736632302678879e280,
+    3.1840308524721733e-211,
+    1.6121981551231505e-68,
+    -3.5467102090433724e-38,
+    -5.4991768101597764e47,
+    -7.018233560401107e39,
+    1.2565321321327867e143,
+    -3.3448499066819996e-298,
+]
+
+
+@pytest.mark.parametrize("nmant", [63, 112])
+def test_csv_is_exact_under_each_long_doubles_bound(tmp_path, monkeypatch, nmant):
+    tables = cli._csv_tables()._replace(tie=cli._rounding_bound(nmant))
+    monkeypatch.setattr(cli, "_csv_tables", lambda: tables)
+    rng = np.random.default_rng(11)
+    patterns = rng.integers(0, 2**64, 3 * 4000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate(
+        [np.array(_MISROUNDED_BY_A_NARROW_BOUND + _EDGE_FLOATS), patterns]
+    )
+    columns = [values[: len(values) // 3 * 3][j::3] for j in range(3)]
+    path = tmp_path / "bound.csv"
+    _write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
 
 
 def test_integer_columns_beyond_two_to_the_53_print_every_digit(tmp_path):
