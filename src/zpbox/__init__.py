@@ -78,6 +78,7 @@ _EXPORTS = {
         "measured_frequency",
         "restoring_force",
         "time_step",
+        "verlet_frequency",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

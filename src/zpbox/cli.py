@@ -773,13 +773,14 @@ def _equilibrium(s: Scenario, K, mu):
 
 
 def _thermal(s: Scenario, K, mu):
-    blocks = list(therm.thermal_blocks(K, s.t_grid))
-    columns = {
-        name: np.concatenate([getattr(b, name) for b in blocks])
-        for name in ("t", "ell", "alpha", "mean_force")
-    }
-    for n in (1, 2):  # occupancies of the two lowest levels
-        columns[f"p{n}"] = np.concatenate([b.p[n - 1] for b in blocks])
+    names = ("t", "ell", "alpha", "mean_force", "p1", "p2")
+    columns = {name: np.empty(len(s.t_grid)) for name in names}
+    start = 0
+    for b in therm.thermal_blocks(K, s.t_grid):  # of p, only the two lowest levels
+        stop = start + len(b.t)
+        for name, values in zip(names, (b.t, b.ell, b.alpha, b.mean_force, *b.p[:2])):
+            columns[name][start:stop] = values
+        start = stop
     headline = {"t_max": float(columns["t"][-1])}
     for name in ("ell", "alpha", "mean_force"):
         headline[f"{name}_at_t_max"] = float(columns[name][-1])
@@ -818,8 +819,7 @@ def _dynamics(s: Scenario, K, mu):
         "strain": sol.strain,
         "K_prime": sol.effective_stiffness,
         "omega_harmonic": omega,
-        # velocity Verlet's own frequency for the linearised motion
-        "omega_verlet": 2.0 / dt * math.asin(omega * dt / 2.0),
+        "omega_verlet": dyn.verlet_frequency(omega, dt),
         "measured_omega": measured,
         "y0": s.y0_frac * sol.strain,
         "dt": dt,

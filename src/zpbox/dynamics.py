@@ -109,6 +109,13 @@ def time_step(
     return omega, _stable(omega, dt, name)
 
 
+def verlet_frequency(omega: float, dt: float) -> float:
+    """(2/dt) asin(omega dt/2): the angular frequency at which velocity Verlet
+    with step dt turns a linear oscillation of frequency omega (Hairer,
+    Lubich & Wanner 2006); above omega, and real only for omega dt <= 2."""
+    return 2.0 / dt * math.asin(omega * dt / 2.0)
+
+
 def _stable(omega: float, dt: float, name: str) -> float:
     """dt, or ValidationError led by name where omega*dt >= 2."""
     if omega * dt < 2.0:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,9 @@ def test_grid_endpoint_inclusion_within_half_step():
         ["dynamics", "--K", "2", "--y0-frac", "-1e-3"],
         ["spectrum", "--ell", "-1e-3"],
         ["dynamics", "--K", "2", "--n-periods", "10", "--dt-factor", "1e308"],
+        ["equilibrium", "--K", "inf"],  # a number, but not finite
+        ["equilibrium", "--K", "nan"],
+        ["equilibrium", "--K", "2", "--formats", ","],  # names no format
     ],
 )
 def test_usage_errors(argv):
@@ -191,15 +195,19 @@ def test_equilibrium_at_extreme_stiffness(tmp_path, capsys, K):
     assert data["residual"] < 1e-12
 
 
-def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path):
-    # a fresh process, so an uncaught decode error would show as a traceback
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    argv = ["equilibrium", "--config", str(cfg), "--out", str(out)]
+    error = f"zpbox: error: config file {str(cfg)!r} is not UTF-8 text\n"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
+    # a fresh process, so an uncaught decode error would show as a traceback
     src = str(Path(zpbox.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = tmp_path / "out"
-    argv = ["equilibrium", "--config", str(cfg), "--out", str(out)]
     result = subprocess.run(
         [sys.executable, "-m", "zpbox.cli", *argv],
         env=env,
@@ -208,7 +216,7 @@ def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path):
         timeout=60,
     )
     assert result.returncode == 2
-    assert result.stderr == f"zpbox: error: config file {str(cfg)!r} is not UTF-8 text\n"
+    assert result.stderr == error
     assert result.stdout == ""
     assert not out.exists()
 
@@ -228,6 +236,19 @@ def test_thermal_far_below_the_level_spacing_writes_nothing_to_stderr(tmp_path):
     )
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+def test_thermal_run_keeps_only_the_columns_it_writes(tmp_path):
+    # 5001 points: each block's levels x points occupancies, all kept, took
+    # about 10 MiB; the six written columns take 0.24 MiB
+    argv = ["thermal", "--K", "0.5", "--t-grid", "0:50:0.01", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 _SYSTEM_HELP = [
@@ -958,14 +979,15 @@ def test_cli_uses_no_private_name_of_another_zpbox_module():
         if name in ("MIN_SIZE", "MAX_SIZE", "MAX_LEVEL")
     ]
     assert bounds == []
-    # omega = sqrt(K'/mu) and dt = 2 pi/(...) belong to dynamics.time_step
+    # omega = sqrt(K'/mu) and dt = 2 pi/(...) belong to dynamics.time_step,
+    # and (2/dt) asin(omega dt/2) to dynamics.verlet_frequency
     restated = [
         f"line {node.lineno}: math.{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "math"
-        and node.attr in ("sqrt", "pi")
+        and node.attr in ("sqrt", "pi", "asin")
     ]
     assert restated == []
     # one process writes the CSV: it forks no worker and waits for none

@@ -18,6 +18,7 @@ from zpbox import (
     restoring_force,
     solve_equilibrium,
     time_step,
+    verlet_frequency,
 )
 
 MU = 1000.0
@@ -228,11 +229,13 @@ def test_measured_frequency_matches_the_verlet_anharmonic_reference(K, amplitude
     # half periods alternate long and short, so averaging an odd count of
     # them would be off by up to 5.9e-6 here, 3.5 times the shift itself
     sol = solve_equilibrium(K)
-    _, dt = time_step(sol, MU)
+    omega, dt = time_step(sol, MU)
     y0 = amplitude * sol.strain
     traj = integrate(sol, MU, y0=y0, dt=dt, n_steps=20 * STEPS_PER_PERIOD)
     expected = verlet_breathing_frequency(K, MU, dt, y0)
     assert measured_frequency(traj) == pytest.approx(expected, rel=1e-8)
+    linear = verlet_breathing_frequency(K, MU, dt, 0.0)
+    assert verlet_frequency(omega, dt) == pytest.approx(linear, rel=1e-13)
 
 
 def test_frequency_needs_crossings(sol2):

@@ -12,11 +12,17 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_section_fraction, strain_bisection
-from zpbox import ValidationError, minimize_oracle, solve_equilibrium, time_step
+from zpbox import (
+    ValidationError,
+    minimize_oracle,
+    solve_equilibrium,
+    thermal_blocks,
+    time_step,
+)
 from zpbox.cli import _CsvFormatter, main
 from zpbox.spectrum import MAX_SIZE, MIN_SIZE
 
@@ -38,6 +44,33 @@ def test_time_step_is_finite_and_positive_or_a_usage_error(K, mu, steps_per_peri
     except ValidationError:
         return
     assert 0.0 < dt < math.inf and omega * dt < 2.0
+
+
+@settings(max_examples=100)  # about 0.6 s
+@given(
+    K=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+    t=st.lists(
+        st.floats(0.0, 100.0, exclude_min=True), min_size=2, max_size=60, unique=True
+    ),
+    from_zero=st.booleans(),
+)
+# ell steps down by exactly one ulp on each of these grids
+@example(6.711223151649472, [0.057007963773094125, 0.05819199551147399], False)
+@example(0.018251637804028543, [0.0053587060853106895, 0.006447967230031999], False)
+def test_thermal_size_grows_with_t_to_within_one_ulp(K, t, from_zero):
+    t = sorted(t)
+    if from_zero:
+        t[0] = 0.0
+    blocks = list(thermal_blocks(K, t))
+    ell = np.concatenate([b.ell for b in blocks])
+    alpha = np.concatenate([b.alpha for b in blocks])
+    assert np.all(ell >= solve_equilibrium(K).ell)
+    # Each point is solved on its own to float resolution.  Near saturation
+    # heat adds under half an ulp of force, so whether a point is solved or
+    # kept at the zero-temperature root turns on rounding.  One ulp is the
+    # measured size of that step; a larger one is a fault, not a tolerance.
+    assert np.all(ell[1:] >= np.nextafter(ell[:-1], 0.0))
+    assert np.all(np.isnan(alpha) | (alpha >= 0.0))
 
 
 def _grid(values):

@@ -62,6 +62,8 @@ def test_occupancies_validation():
         occupancies(1.0, -1.0)
     with pytest.raises(ValidationError):
         occupancies(math.inf, 1.0)  # cannot truncate
+    with pytest.raises(ValidationError, match="too large to truncate"):
+        occupancies(1e308, 2.0)  # t ell^2 overflows
 
 
 def test_mean_force_reduces_to_zero_point_force():
