@@ -12,7 +12,8 @@ The system is given either directly in reduced units (--K, --mu) or in SI
 parameterizations are mutually exclusive.  A flat ``key = value`` config
 file can supply any flag's value; explicit flags win.  Series go to CSV,
 one summary JSON is written per run, and identical scenarios produce
-byte-identical files (floats are printed with 17 significant digits).
+byte-identical files: CSV values and the JSON's ``argv`` echo print as
+``%.17g``, other JSON numbers as Python's shortest ``repr``.
 
 Only the library's public API is used: the tables are the columns of
 ``level_table``, ``thermal_blocks`` and ``equilibria`` under CSV names, and
@@ -30,7 +31,7 @@ numpy's OpenBLAS starts one thread per further CPU, which busy-wait for
 about 0.1 s.  A value already in the environment wins.  The library
 (``import zpbox``) leaves the environment alone, and loads numpy only on
 first use.  The run's own process writes every output; a CSV is formatted
-by numpy a block of rows at a time (``_CsvFormatter``), each value exactly
+by numpy a block of rows at a time (``_csv_blocks``), each value exactly
 the text of ``format(v, ".17g")``.
 """
 
@@ -451,7 +452,7 @@ _MIN_POWER, _MAX_POWER = -324, 340
 # Lookup tables of the vectorised "%.17g", indexed as noted:
 #   near[k - _MIN_POWER]   10**k rounded to the nearest long double
 #   ceil[k - _MIN_POWER]   the smallest double >= 10**k
-#   tie                    3u, u = 2**-64 the relative error of near
+#   tie                    3u, u = 2**-64 a bound on near's relative error
 #   digits[n], zeros[n]    "%04d" % n as a uint32, and its trailing zeros
 #   exponent[X - _MIN_POWER]   "e", sign and three digits, as two words
 #   shape[X - _MIN_POWER]  the keep row of 17 digits, positive
@@ -462,36 +463,18 @@ _CsvTables = namedtuple(
 
 
 def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """10**k for k in [_MIN_POWER, _MAX_POWER]: rounded to the nearest
-    64-bit-significand long double, and rounded up to a double."""
-    near, ceil, shifts = [], [], []
-    power = 1
-    powers = []
-    for _ in range(max(-_MIN_POWER, _MAX_POWER) + 1):
-        powers.append(power)
-        power *= 10
-    for k in range(_MIN_POWER, _MAX_POWER + 1):
-        if k >= 0:  # 10**k = (m + r/half) 2**shift
-            half = 1 << max(powers[k].bit_length() - 64, 0)
-            m, r = divmod(powers[k], half)
-            shifts.append(half.bit_length() - 1)
-        else:  # 10**k = (m + r/half) 2**shift, half = 10**-k
-            half = powers[-k]
-            shifts.append(-63 - half.bit_length())
-            m, r = divmod(1 << -shifts[-1], half)
-        near.append(m + (2 * r > half or (2 * r == half and m & 1)))
-        ceil.append(m + (r > 0))
-
-    def longdouble(significands):  # exact: two 32-bit halves
-        high = np.array([m >> 32 for m in significands], np.uint64)
-        low = np.array([m & 0xFFFFFFFF for m in significands], np.uint64)
-        return np.ldexp(high.astype(np.longdouble) * 2**32 + low, shifts)
-
-    with np.errstate(over="ignore", under="ignore"):
-        up = longdouble(ceil)  # a double v >= 10**k exactly when v >= up
-        double = up.astype(np.float64)
-        double = np.where(double < up, np.nextafter(double, np.inf), double)
-    return longdouble(near), double
+    """10**k for k in [_MIN_POWER, _MAX_POWER]: rounded to the nearest long
+    double by the platform's own parser, and rounded up to a double."""
+    texts = [f"1e{k}" for k in range(_MIN_POWER, _MAX_POWER + 1)]
+    ceil = []
+    for k, text in enumerate(texts, start=_MIN_POWER):
+        v = float(text)  # the nearest double: 10**k rounds up to v or the next
+        if v < math.inf:
+            n, m = v.as_integer_ratio()
+            if (n * 10**-k < m) if k < 0 else (n < m * 10**k):  # v < 10**k
+                v = math.nextafter(v, math.inf)
+        ceil.append(v)
+    return np.array(texts, dtype=np.longdouble), np.array(ceil)
 
 
 @functools.cache
@@ -543,17 +526,18 @@ def _rounding_bound(nmant: int) -> float:
     """The relative error bound 3u of ``y' = a near[16 - X]``, for a long
     double with ``nmant`` stored significand bits.
 
-    ``near`` is rounded to a 64-bit significand, so u = 2**-64 bounds its
-    error and the product's rounding alike, for x87 extended (nmant 63)
-    and binary128 (nmant 112), whose own rounding is finer.  Any other
-    long double (binary64, or PowerPC's double-double, which does not
-    round as IEEE does) gets no bound: every value takes Python's format.
+    ``near`` comes from the platform's correctly rounded parser (strtold),
+    rounded like the product to the long double's own significand: 64 bits
+    for x87 extended (nmant 63), 113 for binary128 (nmant 112), and u =
+    2**-64 bounds both errors.  Any other long double (binary64, or
+    PowerPC's double-double, which does not round as IEEE does) gets no
+    bound: every value takes Python's format.
     """
     return 3 * 2.0**-64 if nmant in (63, 112) else math.inf
 
 
-class _CsvFormatter:
-    """Formats equal-length columns as CSV text, a block of rows at a time.
+def _csv_blocks(columns):
+    """Yield the CSV bytes of equal-length columns, _CSV_BLOCK_ROWS rows at a time.
 
     Each value prints exactly as ``format(float(v), ".17g")``, or as
     ``str(int(v))`` in an integer column.  One pass of numpy calls formats
@@ -561,167 +545,152 @@ class _CsvFormatter:
     for each block page-faulted anew (about 45 000 faults and 0.05 s of CPU
     on a 10**5-row dynamics CSV).
     """
+    t = _csv_tables()
+    width = len(columns)
+    n = _CSV_BLOCK_ROWS * width
+    values = np.empty(n)  # the block, row-major
+    a = np.empty(n)  # |v|, then the rounding bound
+    f = np.empty(n)
+    e = np.empty(n, np.intc)
+    x = np.empty(n, np.intp)  # decimal exponent X
+    i = np.empty(n, np.intp)
+    b = np.empty(n, bool)
+    slow = np.empty(n, bool)  # formatted by Python
+    y = np.empty(n, np.longdouble)
+    d = np.empty(n, np.int64)  # the 17 digits, then D0
+    q = np.empty(n, np.int64)
+    groups = np.empty((n, 4), np.intp)  # D1-D4 ... D13-D16
+    zeros = np.empty((n, 4), np.uint8)
+    shape = np.empty(n, np.intp)
+    lead = np.empty(n, np.uint32)
+    digits = np.empty((n, 4), np.uint32)
+    exponent = np.empty((n, 2), np.uint32)
+    words = np.empty((n, _CSV_WORDS), np.uint32)
+    keep = np.empty((n, _CSV_WIDTH), bool)
+    seps = [ord(",")] * (width - 1) + [ord("\n")]
+    seps = np.array(seps, np.uint32) << 24  # the last byte of word 12
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
+        n = len(block[0]) * width  # fewer than the arrays hold in the last block
+        values, a, f, e, x, i, b, slow, y, d, q, shape, lead = (
+            w[:n] for w in (values, a, f, e, x, i, b, slow, y, d, q, shape, lead)
+        )
+        groups, zeros, digits, exponent, words, keep = (
+            w[:n] for w in (groups, zeros, digits, exponent, words, keep)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf where u is too wide
+            np.stack(block, axis=1, out=values.reshape(-1, width))
+            np.abs(values, out=a)
+            np.isfinite(a, out=b)
+            np.equal(a, 0.0, out=slow)
+            np.logical_not(b, out=b)
+            slow |= b
+            exact = {}  # flat index -> text, for integers that a double rounds
+            for j, c in enumerate(block):
+                if np.issubdtype(c.dtype, np.integer):
+                    big = np.flatnonzero((c >= 2**53) | (c <= -(2**53)))
+                    flat = big * width + j
+                    exact.update(zip(flat.tolist(), map(str, c[big].tolist())))
+                    slow[flat] = True
+            np.copyto(a, 1.0, where=slow)
 
-    def __init__(self, columns):
-        self.columns = columns
-        n = _CSV_BLOCK_ROWS * len(columns)
-        self.values = np.empty(n)  # the block, row-major
-        self.a = np.empty(n)  # |v|, then the rounding bound
-        self.f = np.empty(n)
-        self.e = np.empty(n, np.intc)
-        self.x = np.empty(n, np.intp)  # decimal exponent X
-        self.i = np.empty(n, np.intp)
-        self.b = np.empty(n, bool)
-        self.slow = np.empty(n, bool)  # formatted by Python
-        self.y = np.empty(n, np.longdouble)
-        self.d = np.empty(n, np.int64)  # the 17 digits, then D0
-        self.q = np.empty(n, np.int64)
-        self.groups = np.empty((n, 4), np.intp)  # D1-D4 ... D13-D16
-        self.zeros = np.empty((n, 4), np.uint8)
-        self.shape = np.empty(n, np.intp)
-        self.lead = np.empty(n, np.uint32)
-        self.digits = np.empty((n, 4), np.uint32)
-        self.exponent = np.empty((n, 2), np.uint32)
-        self.words = np.empty((n, _CSV_WORDS), np.uint32)
-        self.keep = np.empty((n, _CSV_WIDTH), bool)
-        seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-        self.seps = np.array(seps, np.uint32) << 24  # the last byte of word 12
+            # The 17 digits d and decimal exponent X of a = |v|: d = round(y) for
+            # y = a 10**(16 - X) in [10**16, 10**17).  First X: frexp gives
+            # a = m 2**e, m in [1/2, 1), so X is floor((e - 1) log10 2) or one
+            # more, which the comparison with the smallest double >= 10**(X + 1)
+            # decides exactly.  Then y: P = 10**(16 - X) and the product are
+            # each rounded to the long double's own significand (64 or 113
+            # bits), so with u = 2**-64 the computed y' = a P (1 + d1) (1 + d2),
+            # |d1|, |d2| <= u, and |y' - y| <= (2u + u**2) y < 3u y'
+            # (_rounding_bound).  y' < 2**57 keeps at least 7 fractional bits,
+            # so its integer part is exact, and so is its fraction f as a double
+            # but for at most 2**-53 where long double is binary128.  Unless f is
+            # within 3u y' of 1/2 (the margin 2**-50 covers that and the
+            # rounding of the bound itself), y and y' lie on the same side of
+            # that half-integer, and round(y) = floor(y') + (f > 1/2): correctly
+            # rounded, as Python's dtoa rounds.  Those near ties, about 1 % of
+            # the values, and every value where long double is neither x87
+            # extended nor binary128 (the bound is then inf), take Python's own
+            # format.
+            np.frexp(a, f, e)
+            e -= 1
+            e *= 78913
+            e >>= 18  # floor((e - 1) log10 2), exact for |e - 1| < 1651
+            np.copyto(x, e)
+            np.add(x, 1 - _MIN_POWER, out=i)
+            np.take(t.ceil, i, out=f, mode="clip")
+            np.greater_equal(a, f, out=b)
+            x += b
+            np.subtract(16 - _MIN_POWER, x, out=i)
+            np.take(t.near, i, out=y, mode="clip")
+            y *= a
+            np.copyto(d, y, casting="unsafe")  # floor(y')
+            np.subtract(y, d, out=f)
+            np.multiply(y, t.tie, out=a)
+            a += 2.0**-50
+            np.greater(f, 0.5, out=b)
+            d += b
+            f -= 0.5
+            np.abs(f, out=f)
+            np.greater(f, a, out=b)  # false for nan too
+            np.logical_not(b, out=b)
+            slow |= b
+            np.equal(d, 10**17, out=b)  # rounded up a decade: one digit, X + 1
+            np.copyto(d, 10**16, where=b)
+            x += b
 
-    @np.errstate(over="ignore", invalid="ignore")  # inf where u is too wide
-    def block(self, start: int) -> np.ndarray:
-        """The CSV bytes of rows [start, start + _CSV_BLOCK_ROWS), valid
-        until the next call."""
-        t = _csv_tables()
-        block = [c[start : start + _CSV_BLOCK_ROWS] for c in self.columns]
-        rows, width = len(block[0]), len(block)
-        n = rows * width
-        values, a, f, e, x, i, b, slow, y, d, q, shape = (
-            w[:n]
-            for w in (
-                self.values, self.a, self.f, self.e, self.x, self.i, self.b,
-                self.slow, self.y, self.d, self.q, self.shape,
-            )
-        )  # fmt: skip
-        groups, zeros, words = self.groups[:n], self.zeros[:n], self.words[:n]
-        np.stack(block, axis=1, out=values.reshape(rows, width))
-        np.abs(values, out=a)
-        np.isfinite(a, out=b)
-        np.equal(a, 0.0, out=slow)
-        np.logical_not(b, out=b)
-        slow |= b
-        exact = {}  # flat index -> text, for integers that a double rounds
-        for j, c in enumerate(block):
-            if np.issubdtype(c.dtype, np.integer):
-                big = np.flatnonzero((c >= 2**53) | (c <= -(2**53)))
-                flat = big * width + j
-                exact.update(zip(flat.tolist(), map(str, c[big].tolist())))
-                slow[flat] = True
-        np.copyto(a, 1.0, where=slow)
+            # d = D0 D1 ... D16: the leading digit, four groups of four digits,
+            # and the count of trailing zeros, z3 + [g3 = 0](z2 + [g2 = 0](z1 +
+            # [g1 = 0] z0)) for the groups' own trailing zeros zk
+            np.divmod(d, 10**8, out=(q, i))
+            np.divmod(i, 10_000, out=(groups[:, 2], groups[:, 3]))
+            np.divmod(q, 10**8, out=(d, q))
+            np.divmod(q, 10_000, out=(groups[:, 0], groups[:, 1]))
+            np.take(t.digits, groups, out=digits, mode="clip")
+            np.take(t.zeros, groups, out=zeros, mode="clip")
+            np.equal(groups, 0, out=groups)
+            trailing = zeros[:, 0]
+            for k in (1, 2, 3):
+                np.multiply(trailing, groups[:, k], out=trailing, casting="unsafe")
+                trailing += zeros[:, k]
+            x -= _MIN_POWER
+            np.take(t.shape, x, out=shape, mode="clip")
+            trailing *= 2
+            shape -= trailing
+            np.signbit(values, out=b)
+            shape += b
 
-        # The 17 digits d and decimal exponent X of a = |v|: d = round(y) for
-        # y = a 10**(16 - X) in [10**16, 10**17).  First X: frexp gives
-        # a = m 2**e, m in [1/2, 1), so X is floor((e - 1) log10 2) or one
-        # more, which the comparison with the smallest double >= 10**(X + 1)
-        # decides exactly.  Then y: P = 10**(16 - X) is rounded to a 64-bit
-        # significand, and the product to the long double's own (64 or 113
-        # bits), so with u = 2**-64 the computed y' = a P (1 + d1) (1 + d2),
-        # |d1|, |d2| <= u, and |y' - y| <= (2u + u**2) y < 3u y'
-        # (_rounding_bound).  y' < 2**57 keeps at least 7 fractional bits,
-        # so its integer part is exact, and so is its fraction f as a double
-        # but for at most 2**-53 where long double is binary128.  Unless f is
-        # within 3u y' of 1/2 (the margin 2**-50 covers that and the
-        # rounding of the bound itself), y and y' lie on the same side of
-        # that half-integer, and round(y) = floor(y') + (f > 1/2): correctly
-        # rounded, as Python's dtoa rounds.  Those near ties, about 1 % of
-        # the values, and every value where long double is neither x87
-        # extended nor binary128 (the bound is then inf), take Python's own
-        # format.
-        np.frexp(a, f, e)
-        e -= 1
-        e *= 78913
-        e >>= 18  # floor((e - 1) log10 2), exact for |e - 1| < 1651
-        np.copyto(x, e)
-        np.add(x, 1 - _MIN_POWER, out=i)
-        np.take(t.ceil, i, out=f, mode="clip")
-        np.greater_equal(a, f, out=b)
-        x += b
-        np.subtract(16 - _MIN_POWER, x, out=i)
-        np.take(t.near, i, out=y, mode="clip")
-        y *= a
-        np.copyto(d, y, casting="unsafe")  # floor(y')
-        np.subtract(y, d, out=f)
-        np.multiply(y, t.tie, out=a)
-        a += 2.0**-50
-        np.greater(f, 0.5, out=b)
-        d += b
-        f -= 0.5
-        np.abs(f, out=f)
-        np.greater(f, a, out=b)  # false for nan too
-        np.logical_not(b, out=b)
-        slow |= b
-        np.equal(d, 10**17, out=b)  # rounded up a decade: one digit, X + 1
-        np.copyto(d, 10**16, where=b)
-        x += b
+            words[:, 0] = int.from_bytes(b"-0. ", "little")
+            np.take(t.digits, d, out=lead, mode="clip")
+            words[:, 1] = lead
+            words[:, 2:6] = digits
+            words[:, 6] = int.from_bytes(b"   .", "little")
+            words[:, 7:11] = digits
+            np.take(t.exponent, x, axis=0, out=exponent, mode="clip")
+            words[:, 11:13] = exponent
+            words.reshape(-1, width, _CSV_WORDS)[:, :, 12] |= seps
 
-        # d = D0 D1 ... D16: the leading digit, four groups of four digits,
-        # and the count of trailing zeros, z3 + [g3 = 0](z2 + [g2 = 0](z1 +
-        # [g1 = 0] z0)) for the groups' own trailing zeros zk
-        np.divmod(d, 10**8, out=(q, i))
-        np.divmod(i, 10_000, out=(groups[:, 2], groups[:, 3]))
-        np.divmod(q, 10**8, out=(d, q))
-        np.divmod(q, 10_000, out=(groups[:, 0], groups[:, 1]))
-        np.take(t.digits, groups, out=self.digits[:n], mode="clip")
-        np.take(t.zeros, groups, out=zeros, mode="clip")
-        np.equal(groups, 0, out=groups)
-        trailing = zeros[:, 0]
-        for k in (1, 2, 3):
-            np.multiply(trailing, groups[:, k], out=trailing, casting="unsafe")
-            trailing += zeros[:, k]
-        x -= _MIN_POWER
-        np.take(t.shape, x, out=shape, mode="clip")
-        trailing *= 2
-        shape -= trailing
-        np.signbit(values, out=b)
-        shape += b
-
-        words[:, 0] = int.from_bytes(b"-0. ", "little")
-        np.take(t.digits, d, out=self.lead[:n], mode="clip")
-        words[:, 1] = self.lead[:n]
-        words[:, 2:6] = self.digits[:n]
-        words[:, 6] = int.from_bytes(b"   .", "little")
-        words[:, 7:11] = self.digits[:n]
-        np.take(t.exponent, x, axis=0, out=self.exponent[:n], mode="clip")
-        words[:, 11:13] = self.exponent[:n]
-        words.reshape(rows, width, _CSV_WORDS)[:, :, 12] |= self.seps
-
-        text = words.view(np.uint8)
-        index = np.flatnonzero(slow)
-        if len(index):
-            texts = [
-                exact.get(k) or format(v, ".17g")
-                for k, v in zip(index.tolist(), values[index].tolist())
-            ]
-            raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
-            text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
-            shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
-        return text[np.take(t.keep, shape, axis=0, out=self.keep[:n], mode="clip")]
+            text = words.view(np.uint8)
+            index = np.flatnonzero(slow)
+            if len(index):
+                texts = [
+                    exact.get(k) or format(v, ".17g")
+                    for k, v in zip(index.tolist(), values[index].tolist())
+                ]
+                raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
+                text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
+                shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
+            chunk = text[np.take(t.keep, shape, axis=0, out=keep, mode="clip")]
+        yield chunk  # under the caller's own numpy error state
 
 
 def _write_csv(path: Path, header, columns) -> None:
-    """Write equal-length columns as CSV under a header line.
-
-    Integer columns print as ``str(int(v))`` and all others as
-    ``format(float(v), ".17g")``, byte for byte.  One process formats the
-    rows a block of ``_CSV_BLOCK_ROWS`` at a time (``_CsvFormatter``) and
-    writes each block before it formats the next, so the whole file is
-    never held in memory.
-    """
-    columns = [np.asarray(c) for c in columns]
-    formatter = _CsvFormatter(columns)
+    """Write equal-length columns as CSV under a header line, each block of
+    ``_csv_blocks`` before the next is formatted, so the whole file is never
+    held in memory."""
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            fh.write(formatter.block(start))
+        fh.writelines(_csv_blocks([np.asarray(c) for c in columns]))
 
 
 def summary_dict(summary: RunSummary) -> dict:

@@ -223,7 +223,8 @@ def _fields(K):
     s = _solve_strain(K)
     ell = 1.0 + s
     r = 1.0 / ell
-    balance = 2.0 * r**3
+    # powers as products, which numpy and libm round alike
+    balance = 2.0 * (r * r * r)
     energy = 0.5 * s * (K * s)
     return dict(
         ell=ell,
@@ -231,7 +232,6 @@ def _fields(K):
         residual=abs(K * s - balance) / balance,
         # 1/ell^2 - 1 written as -s(s+2)/ell^2 to avoid cancellation at tiny s
         binding_exact=energy - s * (s + 2.0) * r * r,
-        # powers as products, which numpy and libm round alike
         binding_first_order=-s * (r * r * r),
         strain_energy=energy,
         # 6/ell^4 as 6 (1/ell)^4: ell^4 overflows for the softest springs

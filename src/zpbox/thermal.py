@@ -145,8 +145,13 @@ def _solve(seed: StrainSolution, t: np.ndarray) -> ThermalBlock:
     """
     strain = np.full(t.shape, seed.strain)
     _, _, n_max, mean, var = _states(t, 1.0 + strain)
-    # heat adds no force at float resolution, or the point fails at s0 already
-    hot = (t > 0.0) & (seed.K * seed.strain < mean) & (n_max <= MAX_LEVEL)
+    # Solve a point only where heat raises <F> at s0 (never at t = 0), the
+    # balance there leaves s0, and the point can be truncated.  K s0 < <F>
+    # alone turns on rounding where heat adds under an ulp of force, which
+    # let ell(t) step down by two ulps as t grew.
+    ell0 = 1.0 + seed.strain
+    f0 = 2.0 * (1.0 / (ell0 * ell0)) / ell0  # <F> at t = 0, as _states forms it
+    hot = (f0 < mean) & (seed.K * seed.strain < mean) & (n_max <= MAX_LEVEL)
     if hot.any():
         t_hot = t[hot]
         at_seed = [(n_max[hot], mean[hot], var[hot])]  # the solve starts at s0

@@ -561,6 +561,18 @@ def test_dynamics_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     assert (tmp_path / "dynamics.csv").read_bytes() == expected
 
 
+def test_csv_blocks_leave_numpys_error_state_alone_between_blocks():
+    column = np.linspace(-1e300, 1e300, 2 * _CSV_BLOCK_ROWS + 1)
+    before = np.geterr()
+    chunks = []
+    for chunk in cli._csv_blocks([column, column]):
+        assert np.geterr() == before  # the caller's state while it holds a block
+        chunks.append(chunk.tobytes())
+    assert len(chunks) == 3
+    expected = _per_value_csv(["a", "b"], [column, column]).split(b"\n", 1)[1]
+    assert b"".join(chunks) == expected
+
+
 def _powers_of_ten_and_neighbours():
     powers = [float(f"1e{k}") for k in range(-323, 309)]
     below = [math.nextafter(v, 0.0) for v in powers]
@@ -708,8 +720,9 @@ def test_rerun_that_fails_keeps_the_previous_outputs(tmp_path, monkeypatch):
 
     def fails(*args):
         raise OSError("no space left on device")
+        yield
 
-    monkeypatch.setattr(cli._CsvFormatter, "block", fails)
+    monkeypatch.setattr(cli, "_csv_blocks", fails)
     assert main(argv) == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -15,6 +16,7 @@ from zpbox import (
     ValidationError,
     binding_energy,
     effective_stiffness,
+    equilibria,
     minimize_oracle,
     perturbed_energy,
     solve_equilibrium,
@@ -209,20 +211,22 @@ def test_solver_is_deterministic():
 
 def test_strain_matches_bisection_oracle_over_the_float_range():
     failures = []
-    strains = []
+    solutions = []
     for e in range(-300, 301):
         K = 10.0**e
         sol = solve_equilibrium(K)
-        strains.append(sol.strain)
+        solutions.append(sol)
         expected = strain_bisection(K)
         if not abs(sol.strain - expected) <= 4.0 * math.ulp(expected):
             failures.append(f"K=1e{e}: strain {sol.strain!r} vs {expected!r}")
         if not sol.residual < 1e-12:
             failures.append(f"K=1e{e}: residual {sol.residual!r}")
     assert not failures, failures[:5]
-    # one array solve over the same K gives the scalar strains bit for bit
-    array = _solve_strain(np.array([10.0**e for e in range(-300, 301)]))
-    assert array.tolist() == strains
+    # one equilibria call over the same K gives every field bit for bit
+    columns = equilibria([sol.K for sol in solutions])
+    assert sorted(columns) == sorted(f.name for f in dataclasses.fields(sol))
+    for name, column in columns.items():
+        assert column.tolist() == [getattr(sol, name) for sol in solutions], name
 
 
 def test_array_strain_does_not_depend_on_the_order_of_the_elements():
@@ -269,6 +273,7 @@ def test_minimize_oracle_equals_the_fraction_golden_section_bit_for_bit():
 @pytest.mark.parametrize("K", [0.5, 2.0, 1e6, 1e-200, 1e200])
 def test_residual_is_relative_to_the_zero_point_force(K):
     sol = solve_equilibrium(K)
-    balance = 2.0 * (1.0 / sol.ell) ** 3
+    r = 1.0 / sol.ell
+    balance = 2.0 * (r * r * r)
     expected = abs(K * sol.strain - balance) / balance
     assert sol.residual == pytest.approx(expected, rel=1e-9, abs=1e-18)
