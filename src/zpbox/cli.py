@@ -13,7 +13,8 @@ parameterizations are mutually exclusive.  A flat ``key = value`` config
 file can supply any flag's value; explicit flags win.  Series go to CSV,
 one summary JSON is written per run, and identical scenarios produce
 byte-identical files: CSV values and the JSON's ``argv`` echo print as
-``%.17g``, other JSON numbers as Python's shortest ``repr``.
+``%.17g``, other JSON numbers as Python's shortest ``repr``.  The echo
+gives a ``start:stop:step`` grid as its three numbers, a comma list in full.
 
 Only the library's public API is used: the tables are the columns of
 ``level_table``, ``thermal_blocks`` and ``equilibria`` under CSV names, and
@@ -60,6 +61,19 @@ from . import thermal as therm
 from .errors import AnalysisError, UsageError, ValidationError, ZpboxError
 
 @dataclass(frozen=True)
+class _Range:
+    """A ``start:stop:step`` grid, kept as its three parsed floats.
+
+    It is echoed as ``a:b:c`` in ``%.17g`` parts, which parse back to the
+    same floats and so build the same points (``_range_points``).
+    """
+
+    start: float
+    stop: float
+    step: float
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Fully resolved run description; round-trips through to_argv()."""
 
@@ -72,8 +86,8 @@ class Scenario:
     wall_mass: float | None = None
     ell: float | None = None
     n_max: int | None = None
-    t_grid: tuple[float, ...] | None = None
-    k_grid: tuple[float, ...] | None = None
+    t_grid: _Range | tuple[float, ...] | None = None  # a range or a comma list
+    k_grid: _Range | tuple[float, ...] | None = None
     y0_frac: float | None = None
     dt_factor: float | None = None
     n_periods: int | None = None
@@ -129,7 +143,7 @@ def _parse_int(text: str) -> int:
         raise UsageError(f"malformed integer {text!r}") from None
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str) -> _Range | tuple[float, ...]:
     """Grid syntax: ``start:stop:step`` (endpoints inclusive within half a
     step) or an explicit comma-separated list (one number is a list of one)."""
     text = text.strip()
@@ -146,18 +160,58 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise UsageError(
                 f"grid {text!r} spans more than {_MAX_RANGE_STEPS} steps"
             )
-        values = []
-        i = 0
-        while True:
-            v = start + i * step
-            if v > stop + 0.5 * step:
-                break
-            if values and v <= values[-1]:  # step below float resolution
-                raise UsageError(f"grid step is too small to advance in {text!r}")
-            values.append(v)
-            i += 1
-        return tuple(values)
+        grid = _Range(start, stop, step)
+        points = _range_points(grid)
+        if not np.isfinite(points[-1]):
+            raise UsageError(f"grid {text!r} overflows the float range")
+        if (points[1:] <= points[:-1]).any():  # step below float resolution
+            raise UsageError(f"grid step is too small to advance in {text!r}")
+        return grid
     return tuple(_parse_float(p) for p in text.split(","))
+
+
+def _range_points(grid: _Range) -> np.ndarray:
+    """The points ``start + i*step``, i = 0, 1, ..., up to the first that
+    lies more than half a step past ``stop``.
+
+    Each point is the same two IEEE operations on float64 (``i`` is exact
+    below 2**53) as a loop over i would do, and they do not decrease, so
+    the points kept are a prefix of one vectorised pass.  Rounding can keep
+    a point or two past ``(stop - start)/step + 1/2``; a pass that keeps
+    every point it built is rebuilt twice as long, unless its points have
+    stopped advancing, which the caller reports.  Where ``stop + step/2``
+    overflows, both sides of the comparison are halved, which is exact in
+    the normal range, so a point past the float range can be kept: the
+    caller reports that too.
+    """
+    start, stop, step = grid.start, grid.stop, grid.step
+
+    def line(n, a, b):  # a + i*b for i < n
+        values = np.arange(n, dtype=float)
+        values *= b
+        values += a
+        return values
+
+    bound = stop + 0.5 * step
+    n = int((stop - start) / step) + 2
+    while True:
+        with np.errstate(over="ignore"):
+            points = line(n, start, step)
+            if math.isinf(bound):
+                within = line(n, 0.5 * start, 0.5 * step) <= 0.5 * stop + 0.25 * step
+            else:
+                within = points <= bound
+        points = points[: np.count_nonzero(within)]
+        if len(points) < n or (points[1:] <= points[:-1]).any():
+            return points
+        n *= 2
+
+
+def _grid_points(grid) -> np.ndarray:
+    """A grid's points as one float64 array: a range built, a list as given."""
+    if isinstance(grid, _Range):
+        return _range_points(grid)
+    return np.array(grid, dtype=float)
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
@@ -175,6 +229,8 @@ def _format_float(value) -> str:
 
 
 def _format_grid(grid) -> str:
+    if isinstance(grid, _Range):
+        return "%.17g:%.17g:%.17g" % (grid.start, grid.stop, grid.step)
     return ",".join(["%.17g"] * len(grid)) % tuple(grid)
 
 
@@ -380,7 +436,7 @@ def _validate_scenario(s: Scenario) -> None:
         flag, grid = ("t-grid", s.t_grid) if thermal else ("K-grid", s.k_grid)
         if grid is None:
             raise UsageError(f"{s.command} needs --{flag}")
-        eq.check_grid(grid, f"--{flag}", positive=not thermal)
+        eq.check_grid(_grid_points(grid), f"--{flag}", positive=not thermal)
     if s.command == "spectrum":
         spec.check_size(s.ell, "--ell")
         spec.check_level(s.n_max, "--n-max")
@@ -743,9 +799,10 @@ def _equilibrium(s: Scenario, K, mu):
 
 def _thermal(s: Scenario, K, mu):
     names = ("t", "ell", "alpha", "mean_force", "p1", "p2")
-    columns = {name: np.empty(len(s.t_grid)) for name in names}
+    t_grid = _grid_points(s.t_grid)
+    columns = {name: np.empty(len(t_grid)) for name in names}
     start = 0
-    for b in therm.thermal_blocks(K, s.t_grid):  # of p, only the two lowest levels
+    for b in therm.thermal_blocks(K, t_grid):  # of p, only the two lowest levels
         stop = start + len(b.t)
         for name, values in zip(names, (b.t, b.ell, b.alpha, b.mean_force, *b.p[:2])):
             columns[name][start:stop] = values
@@ -798,13 +855,14 @@ def _dynamics(s: Scenario, K, mu):
 
 
 def _sweep(s: Scenario, K, mu):
-    sol = eq.equilibria(s.k_grid)
+    k_grid = _grid_points(s.k_grid)
+    sol = eq.equilibria(k_grid)
     drop = ("residual", "strain_energy")
     columns = _renamed(sol, drop=drop, effective_stiffness="K_prime")
     headline = {
-        "n_points": len(s.k_grid),
-        "K_min": s.k_grid[0],
-        "K_max": s.k_grid[-1],
+        "n_points": len(k_grid),
+        "K_min": float(k_grid[0]),
+        "K_max": float(k_grid[-1]),
     }
     return headline, columns
 

@@ -134,6 +134,25 @@ def box_nodes(n: int, ell: float) -> list[float]:
     return [k * ell / n for k in range(1, n)]
 
 
+def range_grid_loop(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """Points of a start:stop:step grid, one at a time: start + i*step for
+    i = 0, 1, ... while within half a step of stop: the loop that the CLI's
+    one-pass numpy build must match bit for bit.  ValueError where a step
+    below the float resolution leaves a point equal to the one before it.
+    """
+    values = []
+    i = 0
+    while True:
+        v = start + i * step
+        if v > stop + 0.5 * step:
+            break
+        if values and v <= values[-1]:  # step below float resolution
+            raise ValueError("grid step is too small to advance")
+        values.append(v)
+        i += 1
+    return tuple(values)
+
+
 def logspace_grid(lo_exp: float, hi_exp: float, count: int) -> list[float]:
     """Log-spaced grid of stiffness values, 10**lo_exp .. 10**hi_exp."""
     return [

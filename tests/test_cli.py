@@ -14,11 +14,15 @@ import numpy as np
 import pytest
 
 import zpbox
-from conftest import quartic_root, strain_bisection
+from conftest import quartic_root, range_grid_loop, strain_bisection
 from zpbox import UsageError, cli
 from zpbox.cli import (
     _CSV_BLOCK_ROWS,
+    _MAX_RANGE_STEPS,
     Scenario,
+    _grid_points,
+    _parse_grid,
+    _Range,
     _write_csv,
     main,
     parse_scenario,
@@ -41,19 +45,18 @@ def test_parse_thermal_with_grid(tmp_path):
         ["thermal", "--K", "2", "--t-grid", "0:4:0.1", "--out", str(tmp_path)]
     )
     assert s.command == "thermal"
-    assert len(s.t_grid) == 41
-    assert s.t_grid[0] == 0.0
-    assert s.t_grid[-1] == pytest.approx(4.0, abs=1e-12)
+    assert s.t_grid == _Range(0.0, 4.0, 0.1)
+    points = _grid_points(s.t_grid)
+    assert len(points) == 41
+    assert points[0] == 0.0
+    assert points[-1] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_grid_endpoint_inclusion_within_half_step():
-    assert parse_scenario(["thermal", "--K", "1", "--t-grid", "0:1:0.5"]).t_grid == (
-        0.0,
-        0.5,
-        1.0,
-    )
+    grid = parse_scenario(["thermal", "--K", "1", "--t-grid", "0:1:0.5"]).t_grid
+    assert tuple(_grid_points(grid)) == (0.0, 0.5, 1.0)
     grid = parse_scenario(["thermal", "--K", "1", "--t-grid", "0:1:0.3"]).t_grid
-    assert grid == (0.0, 0.3, 0.6, pytest.approx(0.9))
+    assert tuple(_grid_points(grid)) == (0.0, 0.3, 0.6, pytest.approx(0.9))
     assert parse_scenario(["sweep", "--K-grid", "2"]).k_grid == (2.0,)
     assert parse_scenario(["sweep", "--K-grid", "1,2,4"]).k_grid == (1.0, 2.0, 4.0)
 
@@ -912,7 +915,7 @@ _SI_ARGV = [
             ["thermal", "--t-grid", "0:0.3:0.1", "--K", "2", "--out", "runs"]
             + ["--formats", "csv,json"],
             ["thermal", "--K", "2", "--t-grid"]
-            + ["0,0.10000000000000001,0.20000000000000001,0.30000000000000004"]
+            + ["0:0.29999999999999999:0.10000000000000001"]
             + ["--out", "runs", "--formats", "csv,json"],
             id="thermal-reduced",
         ),
@@ -942,7 +945,7 @@ _SI_ARGV = [
         ),
         pytest.param(
             ["sweep", "--K-grid", "1:2:0.5", "--formats", "csv", "--out", "runs"],
-            ["sweep", "--K-grid", "1,1.5,2", "--out", "runs", "--formats", "csv"],
+            ["sweep", "--K-grid", "1:2:0.5", "--out", "runs", "--formats", "csv"],
             id="sweep",
         ),
     ],
@@ -1032,9 +1035,8 @@ def test_malformed_values_name_their_flag():
 
 
 def test_range_grid_step_count_is_bounded(tmp_path, capsys):
-    from zpbox.cli import _MAX_RANGE_STEPS, _parse_grid
-
-    assert len(_parse_grid(f"0:{_MAX_RANGE_STEPS}:1")) == _MAX_RANGE_STEPS + 1
+    grid = _parse_grid(f"0:{_MAX_RANGE_STEPS}:1")
+    assert len(_grid_points(grid)) == _MAX_RANGE_STEPS + 1
     # a step below the float resolution of the values never advances them
     with pytest.raises(UsageError, match="advance"):
         _parse_grid("1e22:1e22:1")
@@ -1049,6 +1051,58 @@ def test_range_grid_step_count_is_bounded(tmp_path, capsys):
     assert not out.exists()
     # comma lists are not range grids and stay unbounded
     assert len(_parse_grid(",".join(["1"] * (_MAX_RANGE_STEPS + 2)))) > _MAX_RANGE_STEPS
+
+
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("0:1:0.3", (0.0, 0.3, 0.6, 0.8999999999999999)),
+        ("0:1:0.5", (0.0, 0.5, 1.0)),
+        ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.30000000000000004)),
+        # stop + step/2 overflows, so the comparison is made at half scale
+        ("5e307:1.7e308:1e308", (5e307, 1.5e308)),
+        ("0:1.7e308:1.7e308", (0.0, 1.7e308)),
+    ],
+)
+def test_range_grid_is_kept_as_a_range_and_echoed_as_one(text, points):
+    grid = _parse_grid(text)
+    assert tuple(_grid_points(grid)) == points
+    if math.isfinite(grid.stop + 0.5 * grid.step):
+        assert range_grid_loop(grid.start, grid.stop, grid.step) == points
+    echo = cli._format_grid(grid)
+    assert echo.count(":") == 2 and _parse_grid(echo) == grid
+
+
+def test_range_grid_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    # 1e308 + 1e308 lies within half a step of 1.7e308, but is no float
+    out = tmp_path / "never"
+    assert main(["sweep", "--K-grid", "1e308:1.7e308:1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "zpbox: error: --K-grid: grid '1e308:1.7e308:1e308' overflows the float "
+        "range\n"
+    )
+    assert not out.exists()
+    assert main(["sweep", "--K-grid", "5e307:1.7e308:1e308", "--out", str(out)]) == 0
+    data = json.loads((out / "sweep_summary.json").read_text())
+    assert (data["n_points"], data["K_min"], data["K_max"]) == (2, 5e307, 1.5e308)
+
+
+def test_range_grid_parse_and_echo_hold_no_point_as_a_python_object():
+    # measured peak 17.2 MiB: the 10**6 points as a float64 array and
+    # check_grid's copy of it, 8 B a point each.  A Python float takes 24 B,
+    # so 10**6 of them alone would take 22.9 MiB, and the scenario would
+    # still hold them (current)
+    argv = ["sweep", "--K-grid", f"1:{_MAX_RANGE_STEPS + 1}:1"]
+    tracemalloc.start()
+    try:
+        echo = parse_scenario(argv).to_argv()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert echo[:3] == ["sweep", "--K-grid", "1:1000001:1"]
+    assert current < 2**20
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize(
