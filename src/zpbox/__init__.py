@@ -33,7 +33,6 @@ _EXPORTS = {
         "PhysicalInput",
         "ReducedSystem",
         "check_positive",
-        "from_reduced",
         "to_reduced",
     ),
     "spectrum": (
@@ -51,9 +50,7 @@ _EXPORTS = {
     ),
     "equilibrium": (
         "StrainSolution",
-        "binding_energy",
         "check_grid",
-        "effective_stiffness",
         "equilibria",
         "minimize_oracle",
         "perturbed_energy",
@@ -64,7 +61,6 @@ _EXPORTS = {
         "ThermalBlock",
         "ThermalPoint",
         "equilibrium_size_at_t",
-        "expansion_coefficient",
         "mean_wall_force",
         "occupancies",
         "thermal_blocks",

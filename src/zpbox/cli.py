@@ -156,11 +156,11 @@ def _parse_grid(text: str) -> _Range | tuple[float, ...]:
             raise UsageError(f"grid step must be positive in {text!r}")
         if stop < start:
             raise UsageError(f"grid stop must be >= start in {text!r}")
-        if (stop - start) / step > _MAX_RANGE_STEPS:
+        grid = _Range(start, stop, step)
+        if _range_steps(grid) > _MAX_RANGE_STEPS:
             raise UsageError(
                 f"grid {text!r} spans more than {_MAX_RANGE_STEPS} steps"
             )
-        grid = _Range(start, stop, step)
         points = _range_points(grid)
         if not np.isfinite(points[-1]):
             raise UsageError(f"grid {text!r} overflows the float range")
@@ -168,6 +168,14 @@ def _parse_grid(text: str) -> _Range | tuple[float, ...]:
             raise UsageError(f"grid step is too small to advance in {text!r}")
         return grid
     return tuple(_parse_float(p) for p in text.split(","))
+
+
+def _range_steps(grid: _Range) -> float:
+    """(stop - start)/step, at half scale where stop - start overflows."""
+    span = grid.stop - grid.start
+    if math.isinf(span):
+        return (0.5 * grid.stop - 0.5 * grid.start) / (0.5 * grid.step)
+    return span / grid.step
 
 
 def _range_points(grid: _Range) -> np.ndarray:
@@ -182,7 +190,9 @@ def _range_points(grid: _Range) -> np.ndarray:
     stopped advancing, which the caller reports.  Where ``stop + step/2``
     overflows, both sides of the comparison are halved, which is exact in
     the normal range, so a point past the float range can be kept: the
-    caller reports that too.
+    caller reports that too.  Where a negative start lets ``i*step``
+    overflow though the point does not, the point is formed at half scale
+    and doubled, which is as exact.
     """
     start, stop, step = grid.start, grid.stop, grid.step
 
@@ -193,10 +203,13 @@ def _range_points(grid: _Range) -> np.ndarray:
         return values
 
     bound = stop + 0.5 * step
-    n = int((stop - start) / step) + 2
+    n = int(_range_steps(grid)) + 2
     while True:
         with np.errstate(over="ignore"):
             points = line(n, start, step)
+            if start < 0.0:
+                doubled = 2.0 * line(n, 0.5 * start, 0.5 * step)
+                points = np.where(np.isinf(points), doubled, points)
             if math.isinf(bound):
                 within = line(n, 0.5 * start, 0.5 * step) <= 0.5 * stop + 0.25 * step
             else:

@@ -175,28 +175,6 @@ def _solve_strain(K):
         return _where(s < 1.0, polished, s)
 
 
-def binding_energy(sol: StrainSolution) -> tuple[float, float]:
-    """Energy gained by relaxing from the rigid size to the strained one.
-
-    Returns ``(exact, first_order)``: the exact drop E(y*) - E(0) and the
-    leading small-strain estimate -strain/ell^3.  Both are negative; their
-    gap grows linearly with strain, which is what makes the first-order
-    form usable only in the stiff-spring regime.
-    """
-    return sol.binding_exact, sol.binding_first_order
-
-
-def effective_stiffness(sol: StrainSolution) -> float:
-    """Curvature K' = K + 6/ell^4 of the total energy at the strained minimum.
-
-    The confinement term steepens the well, so K' > K always: the strained
-    box oscillates faster than the bare spring would.  (A first-order-in-
-    strain reading would give a 6/ell^2 shift; the exact second derivative
-    is 6/ell^4, and the finite-difference checks pin the latter.)
-    """
-    return sol.effective_stiffness
-
-
 def solve_equilibrium(K: float) -> StrainSolution:
     """Solve the strain equilibrium for stiffness K.
 
@@ -239,8 +217,8 @@ def _fields(K):
     )
 
 
-def perturbed_energy(sol: StrainSolution, eta: float, sign: int = 1) -> float:
-    """Total energy with the wall displaced by sign*eta from equilibrium.
+def perturbed_energy(sol: StrainSolution, eta: float) -> float:
+    """Total energy with the wall displaced by eta from equilibrium.
 
     Valid only inside the strain window |eta| < strain, where the
     expansion E = E_min + (K'/2) eta^2 + O(eta^3) holds; the linear term
@@ -248,14 +226,12 @@ def perturbed_energy(sol: StrainSolution, eta: float, sign: int = 1) -> float:
     the spring trade energy at equal and opposite linear rates.
     """
     eta = float(eta)
-    if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
     if not abs(eta) < sol.strain:
         raise DomainError(
             f"|eta| = {abs(eta)!r} must stay below the strain {sol.strain!r}"
         )
-    y = sol.strain + sign * eta
-    size = sol.ell + sign * eta
+    y = sol.strain + eta
+    size = sol.ell + eta
     if not size > 0.0:
         raise DomainError(f"box collapse: ell + eta = {size} must stay positive")
     return 1.0 / (size * size) + 0.5 * sol.K * y * y

@@ -118,26 +118,3 @@ def to_reduced(inp: PhysicalInput) -> ReducedSystem:
         temperature_scale=eps0 / BOLTZMANN_KB,
     )
 
-
-_SCALE_FOR_KIND = {
-    "energy": lambda s: s.energy_scale,
-    "length": lambda s: s.length_scale,
-    "time": lambda s: s.time_scale,
-    "temperature": lambda s: s.temperature_scale,
-    "force": lambda s: s.force_scale,
-    "stiffness": lambda s: s.stiffness_scale,
-}
-
-
-def from_reduced(sys: ReducedSystem, value: float, kind: str) -> float:
-    """Convert a dimensionless ``value`` of dimension ``kind`` back to SI.
-
-    ``kind`` is one of energy, length, time, temperature, force, stiffness.
-    """
-    try:
-        scale = _SCALE_FOR_KIND[kind]
-    except KeyError:
-        raise ValidationError(
-            f"unsupported kind {kind!r}; expected one of {sorted(_SCALE_FOR_KIND)}"
-        ) from None
-    return float(value) * scale(sys)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .equilibrium import StrainSolution, _bracketed_newton, check_grid, solve_equilibrium
-from .model import check_positive
 from .spectrum import MAX_LEVEL, check_size
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
@@ -45,7 +44,7 @@ class ThermalPoint:
     ell_t: float  # self-consistent relative box size
     occupancies: tuple[float, ...]  # p_1 .. p_{n_max} at (t, ell_t)
     mean_force: float  # occupancy-weighted wall force at ell_t
-    alpha: float  # (1/ell) d ell/dt; NaN where t - max(1e-3, t/100) <= 0
+    alpha: float  # (1/ell) d ell/dt; NaN for t <= 1e-3
     n_max: int
 
 
@@ -142,6 +141,7 @@ def _solve(seed: StrainSolution, t: np.ndarray) -> ThermalBlock:
     ell) / (K - d<F>/d ell), d<F>/d ell = var(F_n)/t - 3 <F>/ell, is a
     weighted mean of s and <F>/K, so it stays inside the bracket.  An iterate
     that cannot be truncated ends its own point's solve, failing it there.
+    The block's alpha is NaN for t <= 1e-3.
     """
     strain = np.full(t.shape, seed.strain)
     _, _, n_max, mean, var = _states(t, 1.0 + strain)
@@ -169,10 +169,10 @@ def _solve(seed: StrainSolution, t: np.ndarray) -> ThermalBlock:
     ell = 1.0 + strain
     w, z, n_max, mean, var = _states(t, ell)
     # alpha = (d<F>/dt) / [ell (K - d<F>/d ell)], d<F>/dt = cov(F_n, E_n)/t^2 =
-    # (ell/2) var(F_n)/t^2 as E_n = ell F_n/2; NaN where t - default step <= 0
+    # (ell/2) var(F_n)/t^2 as E_n = ell F_n/2; NaN for t <= 1e-3
     with np.errstate(all="ignore"):
         alpha = 0.5 * var / (t * t * (seed.K - (var / t - 3.0 * mean / ell)))
-    alpha = np.where(t - _default_step(t) > 0.0, alpha, math.nan)
+    alpha = np.where(t > 1e-3, alpha, math.nan)
     return ThermalBlock(t, ell, w / z, n_max, mean, alpha)
 
 
@@ -218,35 +218,13 @@ def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
     Solves K (ell - 1) = <F>(ell, t) by a bracketed Newton solve in the
     strain; at t = 0 this reduces exactly to the zero-temperature
     equilibrium.  The expansion coefficient comes from implicit
-    differentiation with the same Boltzmann weights, and is NaN where the
-    finite-difference cross-check with the default step would cross t = 0.
+    differentiation with the same Boltzmann weights, and is NaN for
+    t <= 1e-3.
     """
     t = check_grid([t], "temperature t")
     block = _solve(solve_equilibrium(K), t)
     _check(block.t, block.ell, block.n_max)
     return _points(block)[0]
-
-
-def _default_step(t):
-    return np.maximum(1e-3, t / 100.0)
-
-
-def expansion_coefficient(K: float, t: float, step: float | None = None) -> float:
-    """Relative expansion rate (1/ell) d ell/dt by centered finite difference.
-
-    A cross-check on the implicit ``alpha`` of :func:`equilibrium_size_at_t`:
-    one solve of the three points t - step, t and t + step.
-    """
-    t = check_grid([t], "temperature t").item()
-    step = check_positive(_default_step(t) if step is None else step, "step")
-    if not t - step > 0.0:
-        raise ValidationError(
-            f"need t - step > 0 for a centered difference (t={t}, step={step})"
-        )
-    block = _solve(solve_equilibrium(K), np.array([t - step, t, t + step]))
-    _check(block.t, block.ell, block.n_max)
-    ell_minus, ell_mid, ell_plus = block.ell.tolist()
-    return (ell_plus - ell_minus) / (2.0 * step * ell_mid)
 
 
 def thermal_sweep(K: float, t_grid) -> list[ThermalPoint]:

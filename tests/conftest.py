@@ -160,6 +160,16 @@ def logspace_grid(lo_exp: float, hi_exp: float, count: int) -> list[float]:
     ]
 
 
+def centered_expansion(size_at, t: float, step: float | None = None) -> float:
+    """(1/ell) d ell/dt at t by a centered difference of ``size_at``, the box
+    size as a function of temperature, over t - step, t and t + step; the
+    step defaults to max(1e-3, t/100).  A cross-check on the implicit alpha.
+    """
+    h = max(1e-3, t / 100.0) if step is None else step
+    minus, mid, plus = (size_at(x) for x in (t - h, t, t + h))
+    return (plus - minus) / (2.0 * h * mid)
+
+
 def fixed_point_ell(K: float, t: float, n_levels: int = 80, tol: float = 1e-13) -> float:
     """Independent damped fixed point for the thermal box size.
 

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import zpbox
-from conftest import box_nodes, logspace_grid, quad_strict, quartic_root
+from conftest import (
+    box_nodes,
+    centered_expansion,
+    logspace_grid,
+    quad_strict,
+    quartic_root,
+)
 from zpbox.cli import main
 
 MU = 1000.0
@@ -164,11 +170,17 @@ def test_criterion_5_thermal_model():
         if not gap < 1e-8:
             failures.append(f"strain not saturated below T0 at K={K}: {gap!r}")
 
+    def size_at(t):
+        return zpbox.equilibrium_size_at_t(2.0, t).ell_t
+
+    alpha = zpbox.equilibrium_size_at_t(2.0, 1.0).alpha
     for step in (0.1, 0.02):
-        a = zpbox.expansion_coefficient(2.0, 1.0, step=step)
-        b = zpbox.expansion_coefficient(2.0, 1.0, step=step / 2.0)
+        a = centered_expansion(size_at, 1.0, step)
+        b = centered_expansion(size_at, 1.0, step / 2.0)
         if not abs(a - b) < 0.05 * step**2:
             failures.append(f"alpha Richardson consistency at step={step}")
+        if not abs(alpha - b) < 0.05 * (step / 2.0) ** 2:
+            failures.append(f"implicit alpha {alpha!r} vs centered {b!r}")
     _report(5, "thermal model", failures)
 
 

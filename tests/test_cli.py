@@ -1088,6 +1088,54 @@ def test_range_grid_past_the_float_range_is_a_usage_error(tmp_path, capsys):
     assert (data["n_points"], data["K_min"], data["K_max"]) == (2, 5e307, 1.5e308)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # stop - start overflows: 3.4 steps, so check_grid names the start
+        (
+            ["thermal", "--K", "1", "--t-grid", "-1.7e308:1.7e308:1e308"],
+            "--t-grid must be finite and >= 0, got -1.7e+308",
+        ),
+        (
+            ["sweep", "--K-grid", "-1.7e308:1.7e308:1e308"],
+            "--K-grid must be finite and > 0, got -1.7e+308",
+        ),
+        (
+            ["thermal", "--K", "1", "--t-grid", "-1.7e308:1.7e308:1e300"],
+            "--t-grid: grid '-1.7e308:1.7e308:1e300' spans more than 1000000 steps",
+        ),
+    ],
+)
+def test_range_grid_whose_span_overflows_is_counted_at_half_scale(
+    tmp_path, capsys, argv, message
+):
+    out = tmp_path / "never"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"zpbox: error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-1.7e308:1.7e308:1e308",
+        "-1.7e308:1e307:1e308",
+        "-1.7976931348623157e308:1.7e308:7e307",
+    ],
+)
+def test_range_grid_point_past_an_overflowing_product_is_kept(text):
+    # i*step overflows where start + i*step does not; the point is that sum
+    # with i*step rounded to 53 bits and no exponent limit
+    grid = _parse_grid(text)
+    points = _grid_points(grid).tolist()
+    half = 0.5 * grid.step
+    assert points == [
+        float(Fraction(grid.start) + 2 * Fraction(i * half)) for i in range(len(points))
+    ]
+    last, bound = Fraction(points[-1]), Fraction(grid.stop) + Fraction(half)
+    assert last <= bound < last + Fraction(grid.step)
+
+
 def test_range_grid_parse_and_echo_hold_no_point_as_a_python_object():
     # measured peak 17.2 MiB: the 10**6 points as a float64 array and
     # check_grid's copy of it, 8 B a point each.  A Python float takes 24 B,

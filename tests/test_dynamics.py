@@ -50,7 +50,7 @@ def test_restoring_force_matches_energy_gradient(sol2):
     y = 0.1 * sol2.strain
     delta = 1e-6
     fd = -(
-        perturbed_energy(sol2, y + delta, +1) - perturbed_energy(sol2, y - delta, +1)
+        perturbed_energy(sol2, y + delta) - perturbed_energy(sol2, y - delta)
     ) / (2.0 * delta)
     assert restoring_force(y, sol2) == pytest.approx(fd, abs=1e-8)
 

@@ -14,8 +14,6 @@ from conftest import (
 from zpbox import (
     DomainError,
     ValidationError,
-    binding_energy,
-    effective_stiffness,
     equilibria,
     minimize_oracle,
     perturbed_energy,
@@ -83,24 +81,22 @@ def test_solve_equilibrium_rejects_bad_K(bad):
 
 def test_binding_energy_values():
     sol = solve_equilibrium(2.0)
-    exact, first = binding_energy(sol)
-    assert exact == sol.binding_exact
-    assert first == sol.binding_first_order
+    exact, first = sol.binding_exact, sol.binding_first_order
     assert exact == pytest.approx(-0.3305003717848045, rel=1e-12)
     assert first == pytest.approx(-0.14461102955879068, rel=1e-12)
     # at K = 100 the first-order form is good to ~6 percent
     sol100 = solve_equilibrium(100.0)
-    e, f = binding_energy(sol100)
+    e, f = sol100.binding_exact, sol100.binding_first_order
     assert abs(e - f) / abs(e) < 0.06
     # stiff-wall limit: no strain, no binding
-    e_stiff, f_stiff = binding_energy(solve_equilibrium(1e10))
+    stiff = solve_equilibrium(1e10)
+    e_stiff, f_stiff = stiff.binding_exact, stiff.binding_first_order
     assert -1e-9 < e_stiff < 0.0
     assert -1e-9 < f_stiff < 0.0
 
 
 def test_effective_stiffness_values():
     sol = solve_equilibrium(2.0)
-    assert effective_stiffness(sol) == sol.effective_stiffness
     assert sol.effective_stiffness == pytest.approx(2.0 + 6.0 / ELL_K2**4, rel=1e-12)
     assert sol.effective_stiffness == pytest.approx(3.653, abs=1e-3)
     stiff = solve_equilibrium(1e10)
@@ -122,27 +118,25 @@ def test_effective_stiffness_matches_curvature(K):
 def test_perturbed_energy_at_equilibrium():
     sol = solve_equilibrium(2.0)
     e_min = 1.0 / sol.ell**2 + 0.5 * sol.K * sol.strain**2
-    assert perturbed_energy(sol, 0.0, +1) == e_min
-    assert perturbed_energy(sol, 0.0, -1) == e_min
-    assert perturbed_energy(sol, 0.0, +1) == total_energy(sol.strain, sol.K)
+    assert perturbed_energy(sol, 0.0) == e_min
+    assert perturbed_energy(sol, -0.0) == e_min
+    assert perturbed_energy(sol, 0.0) == total_energy(sol.strain, sol.K)
 
 
 def test_perturbed_energy_linear_term_cancels():
     sol = solve_equilibrium(2.0)
     eta = 1e-6
-    slope = (perturbed_energy(sol, eta, +1) - perturbed_energy(sol, eta, -1)) / (
-        2.0 * eta
-    )
+    slope = (perturbed_energy(sol, eta) - perturbed_energy(sol, -eta)) / (2.0 * eta)
     assert abs(slope) < 1e-10
 
 
 def test_perturbed_energy_quadratic_term_is_k_prime():
     sol = solve_equilibrium(2.0)
-    e_min = perturbed_energy(sol, 0.0, +1)
+    e_min = perturbed_energy(sol, 0.0)
     curvatures = []
     for eta in (1e-3, 1e-4):
         c = (
-            perturbed_energy(sol, eta, +1) + perturbed_energy(sol, eta, -1) - 2 * e_min
+            perturbed_energy(sol, eta) + perturbed_energy(sol, -eta) - 2 * e_min
         ) / eta**2
         curvatures.append(c)
     # converges toward K' as eta shrinks
@@ -155,11 +149,9 @@ def test_perturbed_energy_quadratic_term_is_k_prime():
 def test_perturbed_energy_domain():
     sol = solve_equilibrium(2.0)
     with pytest.raises(DomainError):
-        perturbed_energy(sol, sol.strain, +1)
+        perturbed_energy(sol, sol.strain)
     with pytest.raises(DomainError):
-        perturbed_energy(sol, 1.5 * sol.strain, -1)
-    with pytest.raises(ValidationError):
-        perturbed_energy(sol, 0.0, 2)
+        perturbed_energy(sol, -1.5 * sol.strain)
 
 
 def test_minimize_oracle_matches_solver():

@@ -12,7 +12,6 @@ from zpbox import (
     check_level,
     check_positive,
     check_size,
-    from_reduced,
     to_reduced,
 )
 
@@ -53,17 +52,18 @@ def test_round_trip_si_reduced_si():
         wall_mass=2.0e-25,
     )
     sys = to_reduced(inp)
-    assert from_reduced(sys, sys.K, "stiffness") == pytest.approx(
+    # a reduced value times its scale is its SI value
+    assert sys.K * sys.stiffness_scale == pytest.approx(
         inp.spring_stiffness, rel=1e-12
     )
-    assert from_reduced(sys, 1.0, "length") == pytest.approx(inp.box_size, rel=1e-12)
+    assert sys.length_scale == inp.box_size
     assert sys.mu * inp.particle_mass == pytest.approx(inp.wall_mass, rel=1e-12)
-    assert from_reduced(sys, 1.0, "energy") == sys.energy_scale
-    assert from_reduced(sys, 1.0, "temperature") == sys.temperature_scale
-    assert from_reduced(sys, 1.0, "time") == pytest.approx(
+    assert sys.energy_scale == PLANCK_H**2 / (8.0 * inp.particle_mass * inp.box_size**2)
+    assert sys.energy_scale / BOLTZMANN_KB == sys.temperature_scale
+    assert sys.time_scale == pytest.approx(
         inp.box_size * math.sqrt(inp.particle_mass / sys.energy_scale), rel=1e-12
     )
-    assert from_reduced(sys, 1.0, "force") == pytest.approx(
+    assert sys.force_scale == pytest.approx(
         sys.energy_scale / inp.box_size, rel=1e-12
     )
 
@@ -99,12 +99,6 @@ def test_wall_mass_defaults_to_heavy_wall():
 def test_invalid_inputs_name_the_field(field, kwargs):
     with pytest.raises(ValidationError, match=field):
         PhysicalInput(**kwargs)
-
-
-def test_unsupported_conversion_kind():
-    sys = to_reduced(PhysicalInput(ELECTRON_MASS, NANOMETER, 1.0))
-    with pytest.raises(ValidationError, match="kind"):
-        from_reduced(sys, 1.0, "momentum")
 
 
 @pytest.mark.parametrize(

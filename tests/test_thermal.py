@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixed_point_ell, quartic_root
+from conftest import centered_expansion, fixed_point_ell, quartic_root
 from zpbox import (
     NumericalError,
     ValidationError,
     equilibria,
     equilibrium_size_at_t,
-    expansion_coefficient,
     mean_wall_force,
     occupancies,
     solve_equilibrium,
@@ -22,6 +21,11 @@ from zpbox import (
 MEAN_FORCE_T1 = 2.2895842090461342
 # independent fixed-point oracle value, frozen
 ELL_K2_T1 = 1.5220155134206608
+
+
+def _size_at(K):
+    """The box size at a temperature, for the centered-difference oracle."""
+    return lambda t: equilibrium_size_at_t(K, t).ell_t
 
 
 def test_occupancies_at_zero_temperature():
@@ -125,16 +129,18 @@ def test_self_consistent_size_far_from_the_zero_temperature_seed(K, t):
 @pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 50.0])
 def test_implicit_alpha_matches_finite_difference(K, t):
     alpha = equilibrium_size_at_t(K, t).alpha
-    finite_difference = expansion_coefficient(K, t, step=t / 1000.0)
+    finite_difference = centered_expansion(_size_at(K), t, t / 1000.0)
     assert alpha == pytest.approx(finite_difference, rel=1e-5)
 
 
+# alpha is NaN for t <= 1e-3, where the centered difference's default step
+# max(1e-3, t/100) would cross t = 0, and defined above
 @pytest.mark.parametrize("t", [0.0, 5e-4, 1e-3])
 def test_alpha_nan_where_the_default_centered_step_crosses_zero(t):
     assert math.isnan(equilibrium_size_at_t(2.0, t).alpha)
 
 
-@pytest.mark.parametrize("t", [1.5e-3, 0.05, 0.1])
+@pytest.mark.parametrize("t", [1.0000000000000002e-3, 1.5e-3, 0.05, 0.1])
 def test_alpha_defined_just_above_the_default_step(t):
     alpha = equilibrium_size_at_t(2.0, t).alpha
     assert math.isfinite(alpha) and alpha >= 0.0
@@ -146,29 +152,21 @@ def test_alpha_undefined_at_zero_temperature():
 
 @pytest.mark.parametrize("K", [2.0, 100.0])
 def test_expansion_vanishes_deep_in_the_saturated_regime(K):
-    assert abs(expansion_coefficient(K, 0.05)) < 1e-10
+    assert abs(centered_expansion(_size_at(K), 0.05)) < 1e-10
+    assert abs(equilibrium_size_at_t(K, 0.05).alpha) < 1e-10
 
 
 def test_expansion_positive_near_t0():
-    assert expansion_coefficient(2.0, 1.0) > 0.0
+    assert centered_expansion(_size_at(2.0), 1.0) > 0.0
 
 
 def test_expansion_step_halving_consistency():
-    a = expansion_coefficient(2.0, 1.0, step=0.1)
-    b = expansion_coefficient(2.0, 1.0, step=0.05)
+    a = centered_expansion(_size_at(2.0), 1.0, 0.1)
+    b = centered_expansion(_size_at(2.0), 1.0, 0.05)
     assert abs(a - b) < 0.05 * 0.1**2
-    c = expansion_coefficient(2.0, 1.0, step=0.02)
-    d = expansion_coefficient(2.0, 1.0, step=0.01)
+    c = centered_expansion(_size_at(2.0), 1.0, 0.02)
+    d = centered_expansion(_size_at(2.0), 1.0, 0.01)
     assert abs(c - d) < 0.05 * 0.02**2
-
-
-def test_expansion_coefficient_validation():
-    with pytest.raises(ValidationError):
-        expansion_coefficient(2.0, 0.0)  # centered step would cross t = 0
-    with pytest.raises(ValidationError):
-        expansion_coefficient(2.0, 0.05, step=0.1)
-    with pytest.raises(ValidationError):
-        expansion_coefficient(2.0, 1.0, step=-0.1)
 
 
 def test_thermal_sweep_single_zero_grid():
@@ -244,7 +242,7 @@ def test_thermal_sweep_solves_the_zero_temperature_equilibrium_once(monkeypatch)
     assert len(points) == 50
     assert calls == [2.0]
     calls.clear()
-    expansion_coefficient(2.0, 1.0)
+    equilibrium_size_at_t(2.0, 1.0)
     assert calls == [2.0]
 
 
@@ -301,9 +299,11 @@ def test_kernel_sums_follow_the_reference_pairing():
 
 @pytest.mark.parametrize("K, t, step", [(2.0, 1.0, None), (0.5, 20.0, 0.3)])
 def test_expansion_coefficient_is_its_three_single_point_solves(K, t, step):
+    # the centered difference over one three-point sweep, as over three solves
     h = max(1e-3, t / 100.0) if step is None else step
-    minus, mid, plus = (equilibrium_size_at_t(K, x).ell_t for x in (t - h, t, t + h))
-    assert expansion_coefficient(K, t, step) == (plus - minus) / (2.0 * h * mid)
+    sweep = {p.t: p.ell_t for p in thermal_sweep(K, [t - h, t, t + h])}
+    by_sweep = centered_expansion(sweep.__getitem__, t, step)
+    assert by_sweep == centered_expansion(_size_at(K), t, step)
 
 
 def test_sweep_names_the_first_of_two_failing_temperatures():
