@@ -64,7 +64,6 @@ _EXPORTS = {
         "mean_wall_force",
         "occupancies",
         "thermal_blocks",
-        "thermal_sweep",
     ),
     "dynamics": (
         "STEPS_PER_PERIOD",

@@ -161,11 +161,6 @@ def _parse_grid(text: str) -> _Range | tuple[float, ...]:
             raise UsageError(
                 f"grid {text!r} spans more than {_MAX_RANGE_STEPS} steps"
             )
-        points = _range_points(grid)
-        if not np.isfinite(points[-1]):
-            raise UsageError(f"grid {text!r} overflows the float range")
-        if (points[1:] <= points[:-1]).any():  # step below float resolution
-            raise UsageError(f"grid step is too small to advance in {text!r}")
         return grid
     return tuple(_parse_float(p) for p in text.split(","))
 
@@ -187,12 +182,9 @@ def _range_points(grid: _Range) -> np.ndarray:
     the points kept are a prefix of one vectorised pass.  Rounding can keep
     a point or two past ``(stop - start)/step + 1/2``; a pass that keeps
     every point it built is rebuilt twice as long, unless its points have
-    stopped advancing, which the caller reports.  Where ``stop + step/2``
-    overflows, both sides of the comparison are halved, which is exact in
-    the normal range, so a point past the float range can be kept: the
-    caller reports that too.  Where a negative start lets ``i*step``
-    overflow though the point does not, the point is formed at half scale
-    and doubled, which is as exact.
+    stopped advancing.  Where ``stop + step/2`` overflows, both sides of the
+    comparison are halved, which is exact in the normal range, so a point
+    past the float range can be kept.  ``check_grid`` rejects both.
     """
     start, stop, step = grid.start, grid.stop, grid.step
 
@@ -207,9 +199,6 @@ def _range_points(grid: _Range) -> np.ndarray:
     while True:
         with np.errstate(over="ignore"):
             points = line(n, start, step)
-            if start < 0.0:
-                doubled = 2.0 * line(n, 0.5 * start, 0.5 * step)
-                points = np.where(np.isinf(points), doubled, points)
             if math.isinf(bound):
                 within = line(n, 0.5 * start, 0.5 * step) <= 0.5 * stop + 0.25 * step
             else:

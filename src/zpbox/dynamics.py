@@ -50,13 +50,16 @@ def restoring_force(y: float, sol: StrainSolution) -> float:
     """Force on the breathing coordinate at displacement y from equilibrium.
 
     -dE/d(eta) = 2/(ell + y)^3 - K(ell - 1 + y): the zero-point push minus
-    the spring pull.  Vanishes at y = 0 and behaves as -K' y nearby.
+    the spring pull.  Vanishes at y = 0 and behaves as -K' y nearby.  From
+    size 1e102 on, the push (< 2e-306) is below half an ulp of the pull
+    (> 5e-222 for K >= 5e-324), so it is left out: size**3 overflows at 5.6e102.
     """
     y = float(y)
     size = sol.ell + y
     if not size > 0.0:
         raise DomainError(f"box collapse: ell + y = {size} must stay positive")
-    return 2.0 / size**3 - sol.K * (sol.strain + y)
+    push = 2.0 / size**3 if size < 1e102 else 0.0
+    return push - sol.K * (sol.strain + y)
 
 
 def _verlet_kernel(ell, strain, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel_out):
@@ -151,13 +154,17 @@ def integrate(
             always stored); lets multi-million-step runs stay in memory.
 
     Raises:
-        ValidationError: if mu or dt is not positive and finite, or omega*dt >= 2.
-        NumericalError: if the box collapses mid-run (reports the step).
+        ValidationError: if mu or dt is not positive and finite, omega*dt >= 2,
+            or v0 is not finite.
+        NumericalError: if the box collapses mid-run (reports the step), or
+            the wall runs so far out that (ell + y)**3 overflows.
         ZpboxError: if the sample arrays cannot be allocated.
     """
     mu = check_positive(mu, "wall mass ratio mu")
     y0 = float(y0)
     v0 = float(v0)
+    if not math.isfinite(v0):
+        raise ValidationError(f"initial velocity v0 must be finite, got {v0!r}")
     if not abs(y0) < sol.strain:
         raise DomainError(
             f"|y0| = {abs(y0)!r} must stay below the strain {sol.strain!r}"
@@ -185,9 +192,12 @@ def integrate(
             f"cannot allocate a trajectory of at least "
             f"{n_steps // record_every + 1} samples"
         ) from None
-    written, collapse_step = _verlet_kernel(
-        sol.ell, sol.strain, sol.K, mu, y0, v0, dt, n_steps, record_every, eta, vel
-    )
+    try:
+        written, collapse_step = _verlet_kernel(
+            sol.ell, sol.strain, sol.K, mu, y0, v0, dt, n_steps, record_every, eta, vel
+        )
+    except OverflowError:  # (ell + y)**3: y > 5e102, far past spectrum.MAX_SIZE
+        raise NumericalError(f"the wall runs out past 5e102 from v0 = {v0!r}") from None
     if collapse_step >= 0:
         raise NumericalError(f"box collapse at step {collapse_step}")
     assert written == len(steps)

@@ -75,7 +75,7 @@ def wavefunction(n: int, x, ell: float):
     n = check_level(n)
     ell = check_size(ell)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr > ell):
+    if not np.all((x_arr >= 0.0) & (x_arr <= ell)):  # false for NaN too
         raise DomainError(f"position x must lie in [0, {ell}]")
     psi = math.sqrt(2.0 / ell) * np.sin(n * math.pi * x_arr / ell)
     return psi if x_arr.ndim else float(psi)

@@ -95,15 +95,15 @@ def _sum_levels(a):
     return a[0]
 
 
-def _check(t, ell, n_max):
-    """Raise the ValidationError of the first point that cannot be truncated."""
+def _check(t, ell, n_max, error=ValidationError):
+    """Raise ``error`` naming the first point that cannot be truncated."""
     bad = np.flatnonzero(n_max > MAX_LEVEL)
     if bad.size:
         t, ell = t[bad[0]].item(), ell[bad[0]].item()
         reason = f"needs more than {MAX_LEVEL} levels"
         if 1.0 / (ell * ell * t) == 0.0:
             reason = "is too large to truncate"
-        raise ValidationError(f"temperature t = {t!r} {reason}")
+        raise error(f"temperature t = {t!r} {reason}")
 
 
 def _one_point(t: float, ell: float):
@@ -178,8 +178,9 @@ def _solve(seed: StrainSolution, t: np.ndarray) -> ThermalBlock:
 
 def thermal_blocks(K: float, t_grid):
     """Yield an increasing temperature grid (checked as the first block is
-    asked for) as ThermalBlocks of consecutive points, float64 columns equal to
-    their own :func:`equilibrium_size_at_t` bit for bit; p is levels x points,
+    asked for) as ThermalBlocks of consecutive points, float64 columns that do
+    not depend on the split into blocks, so each point is its own one-point grid
+    (:func:`equilibrium_size_at_t`) bit for bit; p is levels x points,
     zero past a point's n_max.  A point needs about n_prev t/t_prev levels,
     n_prev those of the last root before it (levels grow as ell sqrt(t), ell(t)
     at most as sqrt(t)), so a block is sized to hold about _BLOCK_CELLS level x
@@ -194,40 +195,19 @@ def thermal_blocks(K: float, t_grid):
             cells = np.arange(1, len(ahead) + 1) * (n_prev * ahead / t_prev)
         stop = start + max(1, np.count_nonzero(cells <= _BLOCK_CELLS))
         block = _solve(seed, t[start:stop])
-        try:
-            _check(block.t, block.ell, block.n_max)
-        except ValidationError as exc:
-            t_bad = block.t[block.n_max > MAX_LEVEL][0]
-            raise NumericalError(f"thermal sweep failed at t={t_bad}: {exc}") from exc
+        _check(block.t, block.ell, block.n_max, NumericalError)
         yield block
         start, t_prev, n_prev = stop, block.t[-1], block.n_max[-1]
 
 
-def _points(block: ThermalBlock) -> list[ThermalPoint]:
-    columns = (c.tolist() for c in block._replace(p=block.p.T))
-    # an undefined alpha is the one math.nan, so equal points compare equal
-    return [
-        ThermalPoint(t, ell, tuple(p[: int(n)]), f, a if a == a else math.nan, int(n))
-        for t, ell, p, n, f, a in zip(*columns)
-    ]
-
-
 def equilibrium_size_at_t(K: float, t: float) -> ThermalPoint:
-    """Self-consistent box size and occupancies at temperature t.
-
-    Solves K (ell - 1) = <F>(ell, t) by a bracketed Newton solve in the
-    strain; at t = 0 this reduces exactly to the zero-temperature
-    equilibrium.  The expansion coefficient comes from implicit
-    differentiation with the same Boltzmann weights, and is NaN for
-    t <= 1e-3.
+    """Self-consistent box size and occupancies at temperature t: the one
+    point of :func:`thermal_blocks` over the grid [t], so exactly the zero-
+    temperature equilibrium at t = 0, with alpha NaN for t <= 1e-3, and
+    NumericalError where t needs over MAX_LEVEL levels.
     """
-    t = check_grid([t], "temperature t")
-    block = _solve(solve_equilibrium(K), t)
-    _check(block.t, block.ell, block.n_max)
-    return _points(block)[0]
-
-
-def thermal_sweep(K: float, t_grid) -> list[ThermalPoint]:
-    """Evaluate the self-consistent state over an increasing temperature grid:
-    the points of :func:`thermal_blocks`, one ThermalPoint each."""
-    return [point for block in thermal_blocks(K, t_grid) for point in _points(block)]
+    (b,) = thermal_blocks(K, check_grid([t], "temperature t"))
+    t, ell, p, n, f, a = (c[0].tolist() for c in b._replace(p=b.p.T))
+    # an undefined alpha is the one math.nan, so equal points compare equal
+    n, a = int(n), a if a == a else math.nan
+    return ThermalPoint(t, ell, tuple(p[:n]), f, a, n)

@@ -60,6 +60,17 @@ def test_restoring_force_box_collapse(sol2):
         restoring_force(-sol2.ell, sol2)
 
 
+@pytest.mark.parametrize("K, y", [(2.0, 1e103), (5e-324, 6e102), (1e8, 1e154)])
+def test_restoring_force_past_the_cube_overflow_is_the_spring_pull(K, y):
+    # (ell + y)**3 overflows past 5.6e102, where the push 2/(ell + y)**3 is far
+    # below an ulp of the pull; at 1e102, where the cube is finite, adding the
+    # push leaves the pull unchanged
+    sol = solve_equilibrium(K)
+    assert restoring_force(y, sol) == -sol.K * (sol.strain + y)
+    pull = sol.K * (sol.strain + 1e102)
+    assert 2.0 / (sol.ell + 1e102) ** 3 - pull == -pull == restoring_force(1e102, sol)
+
+
 def test_rest_at_equilibrium_stays_fixed(sol2):
     traj = integrate(sol2, MU, y0=0.0, v0=0.0, n_steps=100_000)
     assert np.abs(traj.eta).max() < 1e-14
@@ -91,6 +102,17 @@ def test_integrate_validation(sol2):
         integrate(sol2, MU, y0=0.0, n_steps=0)
     with pytest.raises(ValidationError):
         integrate(sol2, MU, y0=0.0, record_every=0)
+    for v0 in (math.nan, math.inf, -math.inf):  # not an all-NaN trajectory
+        with pytest.raises(ValidationError, match="v0 must be finite"):
+            integrate(sol2, MU, y0=0.0, v0=v0)
+
+
+def test_velocity_that_carries_the_wall_past_the_cube_overflow_fails(sol2):
+    # the wall runs out ~1.6e103 box sizes, where (ell + y)**3 overflows
+    with pytest.raises(NumericalError, match=r"^the wall runs out past 5e102"):
+        integrate(sol2, MU, y0=0.0, v0=1e102)
+    traj = integrate(sol2, MU, y0=0.0, v0=1e101, n_steps=600)
+    assert np.isfinite(traj.total_energy).all()
 
 
 @pytest.mark.parametrize("dt_factor, stable", [(3.0, False), (3.1, False), (3.2, True)])

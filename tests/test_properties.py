@@ -24,7 +24,7 @@ from zpbox import (
     thermal_blocks,
     time_step,
 )
-from zpbox.cli import _csv_blocks, _grid_points, main, parse_scenario
+from zpbox.cli import _csv_blocks, _grid_points, _parse_grid, main, parse_scenario
 from zpbox.spectrum import MAX_SIZE, MIN_SIZE
 
 positive_floats = st.floats(
@@ -105,10 +105,50 @@ def test_range_grid_is_the_loop_bit_for_bit_and_round_trips(grid):
     try:
         s = parse_scenario(argv)
     except UsageError as exc:
-        assert expected is None and "too small to advance" in str(exc)
+        assert expected is None and str(exc) == "--t-grid must be strictly increasing"
         return
     assert _grid_points(s.t_grid).tobytes() == expected.tobytes()
     assert parse_scenario(s.to_argv()) == s
+
+
+@st.composite
+def _any_ranges(draw):
+    """(start, stop, step) of at most about 50 steps that the range syntax
+    accepts: negative starts down to the float range's edge (where i*step
+    can overflow), or starts in [0, 1e300] whose points all stay finite; the
+    step drawn freely or at the float resolution of start, so the points may
+    not advance."""
+    if draw(st.booleans()):
+        start, largest = draw(st.floats(-1.7976931348623157e308, -5e-324)), 1e308
+    else:
+        start, largest = draw(st.floats(0.0, 1e300)), 1e300
+    if draw(st.booleans()):
+        step = draw(st.floats(5e-324, largest))
+    else:
+        step = math.ulp(start) * draw(st.floats(0.25, 4.0))
+    stop = start + draw(st.floats(0.0, 50.0)) * step
+    assume(step > 0.0 and math.isfinite(stop))
+    return start, stop, step
+
+
+def _verdict(argv):
+    try:
+        parse_scenario(argv)
+    except UsageError as exc:
+        return str(exc)
+    return None
+
+
+@given(grid=_any_ranges(), flag=st.sampled_from(["t-grid", "K-grid"]))
+@example((1e22, 1e22, 1.0), "t-grid")  # a step below float resolution
+@example((-1.7e308, 1.7e308, 1e308), "K-grid")  # i*step overflows
+def test_a_range_and_the_list_of_its_points_get_one_verdict(grid, flag):
+    # check_grid judges both spellings: the range has no rule of its own
+    command = ["thermal", "--K", "1"] if flag == "t-grid" else ["sweep"]
+    points = _grid_points(_parse_grid("%r:%r:%r" % grid))
+    listed = ",".join(map(repr, points[np.isfinite(points)].tolist()))
+    as_range = _verdict([*command, f"--{flag}", "%r:%r:%r" % grid])
+    assert as_range == _verdict([*command, f"--{flag}", listed])
 
 
 def _grid(values):

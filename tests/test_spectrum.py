@@ -65,6 +65,10 @@ def test_wavefunction_domain_errors():
         wavefunction(1, 1.01, 1.0)
     with pytest.raises(DomainError):
         wavefunction(1, np.array([0.1, 1.2]), 1.0)
+    with pytest.raises(DomainError):  # NaN compares false both ways
+        wavefunction(1, [0.5, math.nan], 1.0)
+    with pytest.raises(DomainError):
+        wavefunction(1, math.nan, 1.0)
 
 
 def test_position_expectation_is_half_the_box():

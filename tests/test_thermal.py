@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from zpbox import (
     occupancies,
     solve_equilibrium,
     thermal_blocks,
-    thermal_sweep,
     wall_force,
 )
 
@@ -26,6 +26,11 @@ ELL_K2_T1 = 1.5220155134206608
 def _size_at(K):
     """The box size at a temperature, for the centered-difference oracle."""
     return lambda t: equilibrium_size_at_t(K, t).ell_t
+
+
+def _column(K, grid, name):
+    """One column of thermal_blocks over a grid, as a list of floats."""
+    return [v for b in thermal_blocks(K, grid) for v in getattr(b, name).tolist()]
 
 
 def test_occupancies_at_zero_temperature():
@@ -170,27 +175,22 @@ def test_expansion_step_halving_consistency():
 
 
 def test_thermal_sweep_single_zero_grid():
-    points = thermal_sweep(2.0, [0.0])
-    assert len(points) == 1
-    assert points[0].ell_t == solve_equilibrium(2.0).ell
+    assert _column(2.0, [0.0], "ell") == [solve_equilibrium(2.0).ell]
 
 
 def test_thermal_sweep_monotone_and_deterministic():
     grid = [0.0, 0.5, 1.0, 2.0]
-    a = thermal_sweep(2.0, grid)
-    b = thermal_sweep(2.0, grid)
-    ells = [p.ell_t for p in a]
+    ells = _column(2.0, grid, "ell")
     assert all(y >= x for x, y in zip(ells, ells[1:]))
-    assert a == b  # bit-identical repeat
+    a, b = list(thermal_blocks(2.0, grid)), list(thermal_blocks(2.0, grid))
+    assert len(a) == len(b) > 1
+    for x, y in zip(a, b):  # bit-identical repeat
+        assert all(np.array_equal(u, v, equal_nan=True) for u, v in zip(x, y))
 
 
 def test_thermal_sweep_grid_validation():
     # the column functions check their grids with the same validator
-    columns = (
-        lambda grid: thermal_sweep(2.0, grid),
-        lambda grid: list(thermal_blocks(2.0, grid)),
-        equilibria,
-    )
+    columns = (lambda grid: list(thermal_blocks(2.0, grid)), equilibria)
     for solve in columns:
         with pytest.raises(ValidationError):
             solve([])
@@ -205,9 +205,12 @@ def test_thermal_sweep_grid_validation():
 
 
 def test_thermal_sweep_annotates_failing_temperature():
-    with pytest.raises(NumericalError, match="t="):
-        # forces a failure inside an element by making truncation impossible
-        thermal_sweep(2.0, [0.0, 1e305])
+    # forces a failure inside an element by making truncation impossible
+    message = "^temperature t = 1e\\+305 needs more than 1000000 levels$"
+    with pytest.raises(NumericalError, match=message):
+        list(thermal_blocks(2.0, [0.0, 1e305]))
+    with pytest.raises(NumericalError, match=message):
+        equilibrium_size_at_t(2.0, 1e305)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +241,7 @@ def test_thermal_sweep_solves_the_zero_temperature_equilibrium_once(monkeypatch)
         return solve_equilibrium(K)
 
     monkeypatch.setattr(zpbox.thermal, "solve_equilibrium", counted)
-    points = thermal_sweep(2.0, np.linspace(0.0, 5.0, 50))
-    assert len(points) == 50
+    assert len(_column(2.0, np.linspace(0.0, 5.0, 50), "ell")) == 50
     assert calls == [2.0]
     calls.clear()
     equilibrium_size_at_t(2.0, 1.0)
@@ -259,13 +261,21 @@ def _pairwise_sum(values):
 def test_sweep_rows_equal_single_point_solves_bit_for_bit(K, monkeypatch):
     import zpbox.thermal
 
+    def points(grid):  # each block's points, as equilibrium_size_at_t gives them
+        columns = (b._replace(p=b.p.T) for b in thermal_blocks(K, grid))
+        return [
+            (t, ell, tuple(p[: int(n)]), f, a, int(n))
+            for b in columns
+            for t, ell, p, n, f, a in zip(*(c.tolist() for c in b))
+        ]
+
     grid = np.linspace(0.0, 50.0, 41).tolist()
-    expected = [equilibrium_size_at_t(K, t) for t in grid]
-    assert thermal_sweep(K, grid) == expected
-    assert thermal_sweep(K, grid[1::3]) == expected[1::3]
-    assert thermal_sweep(K, grid[40:]) == expected[40:]
+    expected = [dataclasses.astuple(equilibrium_size_at_t(K, t)) for t in grid]
+    assert repr(points(grid)) == repr(expected)  # repr: nan equals nan
+    assert repr(points(grid[1::3])) == repr(expected[1::3])
+    assert repr(points(grid[40:])) == repr(expected[40:])
     monkeypatch.setattr(zpbox.thermal, "_BLOCK_CELLS", 1)  # one point per block
-    assert thermal_sweep(K, grid) == expected
+    assert repr(points(grid)) == repr(expected)
 
 
 def test_kernel_sums_follow_the_reference_pairing():
@@ -301,15 +311,15 @@ def test_kernel_sums_follow_the_reference_pairing():
 def test_expansion_coefficient_is_its_three_single_point_solves(K, t, step):
     # the centered difference over one three-point sweep, as over three solves
     h = max(1e-3, t / 100.0) if step is None else step
-    sweep = {p.t: p.ell_t for p in thermal_sweep(K, [t - h, t, t + h])}
+    sweep = dict(zip([t - h, t, t + h], _column(K, [t - h, t, t + h], "ell")))
     by_sweep = centered_expansion(sweep.__getitem__, t, step)
     assert by_sweep == centered_expansion(_size_at(K), t, step)
 
 
 def test_sweep_names_the_first_of_two_failing_temperatures():
     grid = [0.0, 1.0, 1e305, 1e306]  # the last two fail, each in its own block
-    with pytest.raises(NumericalError, match=r"failed at t=1e\+305: temperature t = "):
-        thermal_sweep(2.0, grid)
+    with pytest.raises(NumericalError, match=r"^temperature t = 1e\+305 needs"):
+        list(thermal_blocks(2.0, grid))
 
 
 def test_failing_point_leaves_the_points_solved_beside_it(monkeypatch):
@@ -324,11 +334,12 @@ def test_failing_point_leaves_the_points_solved_beside_it(monkeypatch):
     message = "temperature t = 10000.0 needs more than 10000 levels"
     with pytest.raises(ValidationError, match=message):
         zpbox.thermal._check(block.t, block.ell, block.n_max)
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(NumericalError, match=message):
         equilibrium_size_at_t(2.0, 1e4)
 
 
 @pytest.mark.parametrize("K", [0.5, 2.0, 200.0])
 def test_dense_sweep_matches_the_fixed_point_oracle(K):
-    for point in thermal_sweep(K, np.linspace(0.0, 5.0, 41)):
-        assert point.ell_t == pytest.approx(fixed_point_ell(K, point.t), rel=1e-12)
+    grid = np.linspace(0.0, 5.0, 41)
+    for t, ell in zip(grid.tolist(), _column(K, grid, "ell")):
+        assert ell == pytest.approx(fixed_point_ell(K, t), rel=1e-12)
