@@ -276,7 +276,7 @@ _FLAGS = {
         "wall_mass",
         *_FLOAT,
         None,
-        "wall mass in kg (SI; defaults to 1000 particle masses)",
+        "wall mass in kg (SI; defaults to the mass ratio mu = 1000, exactly)",
     ),
     "mu": _Flag(
         "mu", *_FLOAT, None, "wall/particle mass ratio (reduced parameterization)"
@@ -597,11 +597,11 @@ def _rounding_bound(nmant: int) -> float:
 def _csv_blocks(columns):
     """Yield the CSV bytes of equal-length columns, _CSV_BLOCK_ROWS rows at a time.
 
-    Each value prints exactly as ``format(float(v), ".17g")``, or as
-    ``str(int(v))`` in an integer column.  One pass of numpy calls formats
-    a block into work arrays allocated here, once: arrays allocated afresh
-    for each block page-faulted anew (about 45 000 faults and 0.05 s of CPU
-    on a 10**5-row dynamics CSV).
+    Each value of the float64 columns prints exactly as
+    ``format(v, ".17g")``.  One pass of numpy calls formats a block into
+    work arrays allocated here, once: arrays allocated afresh for each block
+    page-faulted anew (about 45 000 faults and 0.05 s of CPU on a
+    10**5-row dynamics CSV).
     """
     t = _csv_tables()
     width = len(columns)
@@ -643,13 +643,6 @@ def _csv_blocks(columns):
             np.equal(a, 0.0, out=slow)
             np.logical_not(b, out=b)
             slow |= b
-            exact = {}  # flat index -> text, for integers that a double rounds
-            for j, c in enumerate(block):
-                if np.issubdtype(c.dtype, np.integer):
-                    big = np.flatnonzero((c >= 2**53) | (c <= -(2**53)))
-                    flat = big * width + j
-                    exact.update(zip(flat.tolist(), map(str, c[big].tolist())))
-                    slow[flat] = True
             np.copyto(a, 1.0, where=slow)
 
             # The 17 digits d and decimal exponent X of a = |v|: d = round(y) for
@@ -731,10 +724,7 @@ def _csv_blocks(columns):
             text = words.view(np.uint8)
             index = np.flatnonzero(slow)
             if len(index):
-                texts = [
-                    exact.get(k) or format(v, ".17g")
-                    for k, v in zip(index.tolist(), values[index].tolist())
-                ]
+                texts = [format(v, ".17g") for v in values[index].tolist()]
                 raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
                 text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
                 shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
@@ -748,7 +738,7 @@ def _write_csv(path: Path, header, columns) -> None:
     held in memory."""
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.writelines(_csv_blocks([np.asarray(c) for c in columns]))
+        fh.writelines(_csv_blocks([np.asarray(c, dtype=float) for c in columns]))
 
 
 def summary_dict(summary: RunSummary) -> dict:

@@ -53,13 +53,17 @@ def restoring_force(y: float, sol: StrainSolution) -> float:
     the spring pull.  Vanishes at y = 0 and behaves as -K' y nearby.  From
     size 1e102 on, the push (< 2e-306) is below half an ulp of the pull
     (> 5e-222 for K >= 5e-324), so it is left out: size**3 overflows at 5.6e102.
+    Where the pull itself overflows, NumericalError.
     """
     y = float(y)
     size = sol.ell + y
     if not size > 0.0:
         raise DomainError(f"box collapse: ell + y = {size} must stay positive")
+    pull = sol.K * (sol.strain + y)
+    if math.isinf(pull):
+        raise NumericalError(f"the spring pull K (strain + y) overflows at y = {y!r}")
     push = 2.0 / size**3 if size < 1e102 else 0.0
-    return push - sol.K * (sol.strain + y)
+    return push - pull
 
 
 def _verlet_kernel(ell, strain, K, mu, y0, v0, dt, n_steps, stride, eta_out, vel_out):
@@ -156,8 +160,9 @@ def integrate(
     Raises:
         ValidationError: if mu or dt is not positive and finite, omega*dt >= 2,
             or v0 is not finite.
-        NumericalError: if the box collapses mid-run (reports the step), or
-            the wall runs so far out that (ell + y)**3 overflows.
+        NumericalError: if the box collapses mid-run (reports the step), the
+            wall runs so far out that (ell + y)**3 overflows, or an energy
+            sample overflows the float range.
         ZpboxError: if the sample arrays cannot be allocated.
     """
     mu = check_positive(mu, "wall mass ratio mu")
@@ -203,9 +208,13 @@ def integrate(
     assert written == len(steps)
 
     sizes = sol.ell + eta
-    particle = 1.0 / (sizes * sizes)
-    strain = 0.5 * sol.K * (sol.strain + eta) ** 2
-    kinetic = 0.5 * mu * vel * vel
+    with np.errstate(over="ignore"):  # each term is >= 0, so inf shows in total
+        particle = 1.0 / (sizes * sizes)
+        strain = 0.5 * sol.K * (sol.strain + eta) ** 2
+        kinetic = 0.5 * mu * vel * vel
+        total = particle + strain + kinetic
+    if not np.isfinite(total).all():
+        raise NumericalError(f"an energy overflows the float range from v0 = {v0!r}")
     return Trajectory(
         times=steps * dt,
         eta=eta,
@@ -213,7 +222,7 @@ def integrate(
         particle_energy=particle,
         strain_energy=strain,
         kinetic_energy=kinetic,
-        total_energy=particle + strain + kinetic,
+        total_energy=total,
     )
 
 

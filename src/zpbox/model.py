@@ -45,8 +45,8 @@ def check_positive(value, name: str) -> float:
 class PhysicalInput:
     """SI description of the system: particle, box, restoring spring, wall.
 
-    ``wall_mass`` may be omitted; it then defaults to
-    ``DEFAULT_MASS_RATIO * particle_mass``.
+    ``wall_mass`` may be omitted (None); the wall/particle mass ratio mu is
+    then ``DEFAULT_MASS_RATIO``, 1000 exactly.
     """
 
     particle_mass: float  # kg
@@ -58,11 +58,8 @@ class PhysicalInput:
         check_positive(self.particle_mass, "particle_mass")
         check_positive(self.box_size, "box_size")
         check_positive(self.spring_stiffness, "spring_stiffness")
-        if self.wall_mass is None:
-            object.__setattr__(
-                self, "wall_mass", DEFAULT_MASS_RATIO * self.particle_mass
-            )
-        check_positive(self.wall_mass, "wall_mass")
+        if self.wall_mass is not None:
+            check_positive(self.wall_mass, "wall_mass")
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,8 @@ def to_reduced(inp: PhysicalInput) -> ReducedSystem:
         inp: validated SI parameters.
 
     Returns:
-        ReducedSystem with K = k d^2 / eps0 and all conversion scales.
+        ReducedSystem with K = k d^2 / eps0, mu = wall_mass / particle_mass
+        (``DEFAULT_MASS_RATIO`` without a wall mass) and all conversion scales.
     """
     m = inp.particle_mass
     d = inp.box_size
@@ -111,7 +109,7 @@ def to_reduced(inp: PhysicalInput) -> ReducedSystem:
         ) from None
     return ReducedSystem(
         K=K,
-        mu=inp.wall_mass / m,
+        mu=DEFAULT_MASS_RATIO if inp.wall_mass is None else inp.wall_mass / m,
         energy_scale=eps0,
         length_scale=d,
         time_scale=d * math.sqrt(m / eps0),

@@ -522,9 +522,9 @@ _SPECIAL_FLOATS = (
 def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     k = len(_SPECIAL_FLOATS)
-    ints = np.arange(n_rows, dtype=np.int64) * 7919 - 3
-    ints[0] = np.iinfo(np.int64).max  # not exact as a float
-    ints[-1] = np.iinfo(np.int64).min
+    ints = np.arange(n_rows, dtype=float) * 7919 - 3  # integral doubles
+    ints[0] = 2.0**53  # every integer of magnitude up to 2**53 is a double
+    ints[-1] = -(2.0**53)
     special = [
         [_SPECIAL_FLOATS[(i + j) % k] for i in range(n_rows)] for j in range(k)
     ]
@@ -534,9 +534,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
 
     lines = [",".join(header)]
     for i in range(n_rows):
-        fields = [str(int(ints[i]))]
-        fields += [format(float(col[i]), ".17g") for col in columns[1:]]
-        lines.append(",".join(fields))
+        lines.append(",".join(format(float(col[i]), ".17g") for col in columns))
     expected = ("\n".join(lines) + "\n").encode()
 
     path = tmp_path / "golden.csv"
@@ -551,11 +549,7 @@ def _per_value_csv(header, columns) -> bytes:
     """The CSV text one value at a time, as ``_write_csv`` must write it."""
     lines = [",".join(header)]
     for row in zip(*(np.asarray(c).tolist() for c in columns)):
-        lines.append(
-            ",".join(
-                str(v) if isinstance(v, int) else format(v, ".17g") for v in row
-            )
-        )
+        lines.append(",".join(format(v, ".17g") for v in row))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -645,7 +639,7 @@ def test_csv_without_a_wide_long_double_formats_every_value_in_python(
     monkeypatch.setattr(cli, "_csv_tables", lambda: tables)
     rng = np.random.default_rng(5)
     columns = [
-        np.array([1, -(2**53) - 1, 2**53, 0]),
+        np.array([1.0, -(2.0**53), 2.0**53, 0.0]),
         np.array([0.1, -0.0, math.nan, 1e300]),
         rng.integers(0, 2**64, 4, dtype=np.uint64).view(np.float64),
     ]
@@ -700,13 +694,10 @@ def test_csv_is_exact_under_each_long_doubles_bound(tmp_path, monkeypatch, nmant
     assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
 
 
-def test_integer_columns_beyond_two_to_the_53_print_every_digit(tmp_path):
-    big = [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**62 + 3, 10**18]
-    ints = np.array(big + [0, -7], dtype=np.int64)
-    columns = [ints, ints.astype(np.float64)]
-    path = tmp_path / "ints.csv"
-    _write_csv(path, ["n", "x"], columns)
-    assert path.read_bytes() == _per_value_csv(["n", "x"], columns)
+def test_integral_doubles_print_as_their_digits():
+    # spectrum's level index n <= 10**6 is written as a double
+    csv = b"".join(cli._csv_blocks([np.array([1.0, 999999.0, 1e6])]))
+    assert csv == b"1\n999999\n1000000\n"
 
 
 def test_successful_run_leaves_only_its_outputs(tmp_path):

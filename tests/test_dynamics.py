@@ -115,6 +115,18 @@ def test_velocity_that_carries_the_wall_past_the_cube_overflow_fails(sol2):
     assert np.isfinite(traj.total_energy).all()
 
 
+def test_energies_past_the_float_range_fail():
+    # the wall moves finitely, but (mu/2) v**2 = 4.5e309 overflows
+    with pytest.raises(NumericalError, match=r"^an energy overflows the float range"):
+        integrate(solve_equilibrium(1e300), 1000.0, y0=0.0, v0=3e153, n_steps=400)
+
+
+def test_restoring_force_past_the_float_range_fails():
+    # K (strain + y) = 1e310 overflows
+    with pytest.raises(NumericalError, match=r"^the spring pull .* overflows"):
+        restoring_force(1e300, solve_equilibrium(1e10))
+
+
 @pytest.mark.parametrize("dt_factor, stable", [(3.0, False), (3.1, False), (3.2, True)])
 def test_time_step_past_the_verlet_stability_limit_is_rejected(sol2, dt_factor, stable):
     # omega dt = 2 pi/dt_factor; velocity Verlet is stable only below 2, and

@@ -69,9 +69,11 @@ def test_round_trip_si_reduced_si():
 
 
 def test_wall_mass_defaults_to_heavy_wall():
-    inp = PhysicalInput(ELECTRON_MASS, NANOMETER, 1.0)
-    assert inp.wall_mass == pytest.approx(1000.0 * ELECTRON_MASS, rel=1e-15)
-    assert to_reduced(inp).mu == pytest.approx(1000.0, rel=1e-12)
+    # CODATA electron and proton masses, where 1000 m / m is 999.9999999999999
+    for mass in (ELECTRON_MASS, 9.1093837015e-31, 1.67262192369e-27):
+        inp = PhysicalInput(mass, NANOMETER, 1.0)
+        assert inp.wall_mass is None
+        assert to_reduced(inp).mu == 1000.0
 
 
 @pytest.mark.parametrize(

@@ -160,11 +160,12 @@ def _grid(values):
 @given(
     patterns=st.binary(min_size=4 * 8, max_size=32 * 8),  # any 64-bit pattern
     floats=st.lists(st.floats(), max_size=16),  # nan, inf, subnormals
+    integers=st.lists(st.integers(-(2**53), 2**53), max_size=16),  # exact doubles
     n_columns=st.integers(1, 4),
 )
-def test_csv_block_is_the_per_value_format(patterns, floats, n_columns):
+def test_csv_block_is_the_per_value_format(patterns, floats, integers, n_columns):
     values = np.frombuffer(patterns[: len(patterns) // 8 * 8], "<f8").tolist()
-    values += floats
+    values += floats + [float(k) for k in integers]
     rows = len(values) // n_columns
     table = np.array(values[: rows * n_columns]).reshape(rows, n_columns)
     lines = [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
