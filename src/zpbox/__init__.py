@@ -12,6 +12,10 @@ submodule's public names here at once, as ``from .submodule import ...``
 would, so each name keeps the object its submodule defined even if the
 submodule's attribute is later replaced (as a test or tracer does).  This
 lets ``python -m zpbox.cli`` run code before numpy loads.
+
+The scalar functions of :mod:`zpbox.spectrum` and :mod:`zpbox.equilibrium`
+are plain Python and load no numpy either; it loads with the first call
+that builds arrays, or with :mod:`zpbox.thermal` or :mod:`zpbox.dynamics`.
 """
 
 __version__ = "0.1.0"

@@ -53,9 +53,12 @@ def restoring_force(y: float, sol: StrainSolution) -> float:
     the spring pull.  Vanishes at y = 0 and behaves as -K' y nearby.  From
     size 1e102 on, the push (< 2e-306) is below half an ulp of the pull
     (> 5e-222 for K >= 5e-324), so it is left out: size**3 overflows at 5.6e102.
-    Where the pull itself overflows, NumericalError.
+    A non-finite y is a ValidationError; where the pull itself overflows,
+    NumericalError.
     """
     y = float(y)
+    if not math.isfinite(y):
+        raise ValidationError(f"displacement y must be finite, got {y!r}")
     size = sol.ell + y
     if not size > 0.0:
         raise DomainError(f"box collapse: ell + y = {size} must stay positive")

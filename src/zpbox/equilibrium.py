@@ -16,13 +16,15 @@ The drop of E from y = 0 to y* is the binding energy of the particle and
 the strained box as a single unit; the curvature at the minimum defines
 the stiffened force constant K' = K + 6/ell^4 that governs small box-size
 oscillations.
+
+A scalar solve is plain Python arithmetic; numpy is imported on first use
+by the array functions, ``check_grid`` and ``equilibria``.
 """
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .model import check_positive
@@ -37,9 +39,11 @@ _MAX_ITERATIONS = 200
 _FOURTH_ROOT_OF_2 = 2.0**0.25
 
 
-def check_grid(grid, name: str, positive: bool = False) -> np.ndarray:
+def check_grid(grid, name: str, positive: bool = False):
     """``grid`` as a float64 array if non-empty, strictly increasing, finite and
     >= 0 (> 0 if ``positive``); else ValidationError, its message led by name."""
+    import numpy as np
+
     values = np.array(grid, dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise ValidationError(f"{name} must be a non-empty sequence")
@@ -89,10 +93,12 @@ def total_energy(y: float, K: float, n: int = 1) -> float:
 
 
 def _where(cond, a, b):
-    """np.where for an array condition; for a plain one, a if cond else b."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+    """a if cond else b for a bool; np.where for an array condition."""
+    if isinstance(cond, bool):
+        return a if cond else b
+    import numpy as np
+
+    return np.where(cond, a, b)
 
 
 def _bracketed_newton(newton, lo, hi, s, scale=0.0):
@@ -142,12 +148,14 @@ def _solve_strain(K):
 
     K is a float or an array of them; an array is solved elementwise with
     the same arithmetic.  Both branches are evaluated and one is selected,
-    so the branch that is not taken may overflow: its warnings are muted.
+    so the branch that is not taken may overflow: numpy's warnings are muted.
     """
-    if isinstance(K, np.ndarray):
-        k4 = np.sqrt(np.sqrt(K))
+    if isinstance(K, float):
+        k4, muted = math.sqrt(math.sqrt(K)), contextlib.nullcontext()
     else:
-        k4 = math.sqrt(math.sqrt(K))
+        import numpy as np
+
+        k4, muted = np.sqrt(np.sqrt(K)), np.errstate(all="ignore")
 
     def newton(s):
         r = 1.0 / (1.0 + s)
@@ -163,7 +171,7 @@ def _solve_strain(K):
         )
         return g, step
 
-    with np.errstate(all="ignore"):
+    with muted:
         stiff, soft = 2.0 / K, _FOURTH_ROOT_OF_2 / k4
         hi = _where(soft < stiff, soft, stiff)
         s = _bracketed_newton(newton, 0.0, hi, hi)
@@ -188,7 +196,7 @@ def solve_equilibrium(K: float) -> StrainSolution:
     return StrainSolution(K=K, **_fields(K))
 
 
-def equilibria(K_grid) -> dict[str, np.ndarray]:
+def equilibria(K_grid) -> dict:
     """:func:`solve_equilibrium` over an increasing stiffness grid as float64
     columns, ``K`` and the other StrainSolution fields: the same arithmetic
     run elementwise, so each element equals its own solve bit for bit."""

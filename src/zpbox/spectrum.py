@@ -5,18 +5,18 @@ size, energies in units of the unstrained ground-state energy eps0 (so
 the levels are n^2/ell^2), forces in eps0/d, collision rates in eps0/hbar.
 ``ell`` is the box size relative to the unstrained one: 1 for the rigid
 reference box, d'/d for a strained box.
+
+The scalar functions are plain Python arithmetic; numpy is imported on
+first use by the two that build arrays, ``wavefunction`` and ``level_table``.
 """
 
-import functools
 import math
+import numbers
 
-import numpy as np
-
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, ValidationError
 
 #: Levels beyond this are rejected: nothing physical lives there, and
-#: count_nodes and position_expectation do work proportional to n (about
-#: a second each at this bound, in blocks of bounded memory).
+#: level_table builds one row per level up to its n_max.
 MAX_LEVEL = 1_000_000
 
 #: Accepted box sizes: every level n <= MAX_LEVEL keeps a normal, finite
@@ -25,17 +25,11 @@ MAX_LEVEL = 1_000_000
 MIN_SIZE = 1e-90
 MAX_SIZE = 1e90
 
-#: Points of the lower Gauss-Legendre rule in position_expectation; its
-#: companion has twice as many, and their difference is the error estimate.
-_GAUSS_ORDER = 12
-
-#: Samples evaluated per vectorised block, so memory stays bounded at any n.
-_BLOCK_POINTS = 1 << 16
-
 
 def check_level(n, name: str = "quantum number n") -> int:
     """Integer n as an int if in [1, MAX_LEVEL], else ValidationError led by name."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    # numpy registers its integer types as Integral, not its bool
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"{name} must be >= 1, got {n}")
@@ -72,6 +66,8 @@ def wavefunction(n: int, x, ell: float):
     ``x`` may be a scalar or an array; every entry must lie in [0, ell].
     The amplitude carries units d^(-1/2).
     """
+    import numpy as np
+
     n = check_level(n)
     ell = check_size(ell)
     x_arr = np.asarray(x, dtype=float)
@@ -81,55 +77,14 @@ def wavefunction(n: int, x, ell: float):
     return psi if x_arr.ndim else float(psi)
 
 
-@functools.cache
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
-    # imported on first use: import zpbox need not pay for numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(m)
-    return 0.5 * (1.0 + t), 0.5 * w
-
-
 def position_expectation(n: int, ell: float) -> float:
-    """Mean position of level n, via quadrature of x |psi|^2 over [0, ell].
+    """Mean position of level n: ell/2, the closed form for every level.
 
-    Evaluates the integral numerically rather than using the closed form,
-    so it doubles as a check on the eigenfunctions; the result is ell/2
-    for every level.
-
-    The rule is composite Gauss-Legendre over the n antinodal segments
-    [k ell/n, (k+1) ell/n], on which x |psi|^2 is smooth: every segment
-    gets a fixed m-point rule and its 2m-point companion, with |psi|^2
-    taken from ``wavefunction`` at all nodes of a block of segments at
-    once. The blocks hold a fixed number of nodes, so memory stays bounded
-    up to ``MAX_LEVEL``. The difference of the two totals is the error
-    estimate; above 1e-9 ell (the scale of the result) it raises
-    ``NumericalError``.
+    |psi|^2 is symmetric about the box centre; the tests check the value
+    against a quadrature of x |psi|^2.
     """
     n = check_level(n)
-    ell = check_size(ell)
-    m = _GAUSS_ORDER
-    nodes_m, weights_m = _gauss_legendre(m)
-    nodes_2m, weights_2m = _gauss_legendre(2 * m)
-    nodes = np.concatenate([nodes_m, nodes_2m])
-    block = _BLOCK_POINTS // nodes.size
-    total_m = total_2m = 0.0
-    for first in range(0, n, block):
-        segments = np.arange(first, min(first + block, n), dtype=float)
-        # fractions of the box in [0, 1), so x never leaves [0, ell]
-        x = ell * ((segments[:, None] + nodes) / n)
-        f = x * wavefunction(n, x, ell) ** 2
-        total_m += float((f[:, :m] @ weights_m).sum())
-        total_2m += float((f[:, m:] @ weights_2m).sum())
-    width = ell / n
-    value, error = width * total_2m, width * abs(total_2m - total_m)
-    if not (math.isfinite(value) and error <= 1e-9 * ell):
-        raise NumericalError(
-            f"quadrature of <x> for n={n}, ell={ell!r} did not converge "
-            f"(error estimate {error:.3e})"
-        )
-    return value
+    return check_size(ell) / 2.0
 
 
 def wall_force(n: int, ell: float) -> float:
@@ -161,10 +116,12 @@ def quantum_size(n: int, ell: float) -> float:
     return _levels(check_level(n), check_size(ell))["quantum_size"]
 
 
-def level_table(n_max: int, ell: float) -> dict[str, np.ndarray]:
+def level_table(n_max: int, ell: float) -> dict:
     """Levels n = 1..n_max at relative size ell as columns: ``n`` (int64) and
     the float64 ``energy``, ``wall_force``, ``collision_frequency`` and
     ``quantum_size``, equal to those functions bit for bit."""
+    import numpy as np
+
     n = np.arange(1, check_level(n_max) + 1, dtype=np.int64)
     return _levels(n, check_size(ell))
 
@@ -183,25 +140,9 @@ def _levels(n, ell):
 
 
 def count_nodes(n: int, ell: float) -> int:
-    """Count interior zeros of the level-n eigenfunction (excludes the walls).
-
-    Samples 64*n uniformly spaced interior points and counts the exact
-    zeros and the sign changes between neighbours; that density separates
-    all n-1 roots of the sine. The samples are taken in fixed-size blocks,
-    carrying the last sign across each block boundary, so memory stays
-    bounded up to ``MAX_LEVEL``.
+    """Interior zeros of the level-n eigenfunction (the walls excluded): n - 1,
+    the closed form; the tests count the sign changes of ``wavefunction``.
     """
     n = check_level(n)
-    ell = check_size(ell)
-    samples = 64 * n
-    step = ell / (samples + 1)  # the spacing of linspace(0, ell, samples + 2)
-    count = 0
-    last = 0.0
-    for first in range(1, samples + 1, _BLOCK_POINTS):
-        index = np.arange(first, min(first + _BLOCK_POINTS, samples + 1))
-        signs = np.sign(wavefunction(n, index * step, ell))
-        count += np.count_nonzero(signs == 0.0)
-        count += np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
-        count += last * signs[0] < 0.0
-        last = signs[-1]
-    return int(count)
+    check_size(ell)
+    return n - 1

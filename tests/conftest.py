@@ -3,15 +3,21 @@
 These deliberately avoid the library's own solvers: the quartic root
 comes from plain bisection, integrals from scipy quadrature called
 directly, the golden-section minimum from Fraction arithmetic, so the
-production code is checked against a separate route.
+production code is checked against a separate route.  The eigenfunction
+oracles sample ``zpbox.wavefunction`` itself, the thing they check, and
+test the closed forms that ``count_nodes`` and ``position_expectation``
+return.
 """
 
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import settings
 from scipy import integrate
+
+import zpbox
 
 # Every run draws the same examples, so the property tests are a fixed,
 # fast set of cases; ``pytest --hypothesis-profile deep`` explores further.
@@ -132,6 +138,29 @@ def quad_strict(f, a: float, b: float, breakpoints=None) -> float:
 def box_nodes(n: int, ell: float) -> list[float]:
     """Interior zeros of sin(n pi x / ell) on (0, ell)."""
     return [k * ell / n for k in range(1, n)]
+
+
+def sign_changes(n: int, ell: float) -> int:
+    """Interior zeros of ``zpbox.wavefunction(n, x, ell)``, counted on 64 n
+    uniformly spaced interior samples: the exact zeros plus the sign changes
+    between neighbours.  That density separates all n - 1 roots of the sine,
+    so a correct eigenfunction gives n - 1."""
+    samples = 64 * n
+    x = np.arange(1, samples + 1) * (ell / (samples + 1))
+    signs = np.sign(zpbox.wavefunction(n, x, ell))
+    zeros = np.count_nonzero(signs == 0.0)
+    return int(zeros + np.count_nonzero(signs[:-1] * signs[1:] < 0.0))
+
+
+def mean_position(n: int, ell: float) -> float:
+    """<x> of level n: x ``zpbox.wavefunction(n, x, ell)``^2 integrated by
+    ``quad_strict`` over each of the n segments between the walls and
+    ``box_nodes``, on which it is smooth; ell/2 for a correct eigenfunction."""
+    edges = [0.0, *box_nodes(n, ell), ell]
+    return math.fsum(
+        quad_strict(lambda x: x * zpbox.wavefunction(n, x, ell) ** 2, a, b)
+        for a, b in zip(edges, edges[1:])
+    )
 
 
 def range_grid_loop(start: float, stop: float, step: float) -> tuple[float, ...]:

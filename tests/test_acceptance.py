@@ -14,8 +14,10 @@ from conftest import (
     box_nodes,
     centered_expansion,
     logspace_grid,
+    mean_position,
     quad_strict,
     quartic_root,
+    sign_changes,
 )
 from zpbox.cli import main
 
@@ -45,10 +47,15 @@ def test_criterion_1_spectrum_fidelity():
 
             if zpbox.count_nodes(n, ell) != n - 1:
                 failures.append(f"node count at n={n}, ell={ell}")
+            if sign_changes(n, ell) != n - 1:
+                failures.append(f"sampled node count at n={n}, ell={ell}")
 
             mean_x = zpbox.position_expectation(n, ell)
             if abs(mean_x - ell / 2.0) > 1e-10:
                 failures.append(f"<x> off at n={n}, ell={ell}: {mean_x!r}")
+            mean_x = mean_position(n, ell)
+            if abs(mean_x - ell / 2.0) > 1e-10:
+                failures.append(f"integrated <x> off at n={n}, ell={ell}: {mean_x!r}")
 
             first = quad_strict(lambda x: psi(x) * dpsi(x), 0.0, ell, nodes)
             if abs(first) > 1e-10:

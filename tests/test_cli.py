@@ -805,6 +805,27 @@ _NEEDS_PROC = pytest.mark.skipif(
             {},
             id="zpbox-loads-no-numpy",
         ),
+        pytest.param(
+            "import zpbox; zpbox.count_nodes(7, 1.3); "
+            "zpbox.position_expectation(7, 1.3); zpbox.solve_equilibrium(2.0); "
+            "zpbox.minimize_oracle(2.0); zpbox.total_energy(0.1, 2.0); "
+            "zpbox.energy_level(3, 1.3); zpbox.wall_force(3, 1.3)",
+            "'numpy' in sys.modules",
+            "False",
+            {},
+            id="scalar-calls-load-no-numpy",
+        ),
+        # the array functions import numpy themselves, in a fresh process
+        pytest.param(
+            "import zpbox; w = zpbox.wavefunction(2, [0.25, 0.5], 1.0); "
+            "t = zpbox.level_table(3, 2.0); e = zpbox.equilibria([2.0])",
+            "(w.tolist() == [zpbox.wavefunction(2, 0.25, 1.0), "
+            "zpbox.wavefunction(2, 0.5, 1.0)], t['energy'].tolist(), "
+            "e['ell'].tolist() == [zpbox.solve_equilibrium(2.0).ell])",
+            "(True, [0.25, 1.0, 2.25], True)",
+            {},
+            id="array-functions-load-numpy",
+        ),
         # the lazy package namespace, where no submodule is loaded yet
         pytest.param(
             "import zpbox",

@@ -60,6 +60,12 @@ def test_restoring_force_box_collapse(sol2):
         restoring_force(-sol2.ell, sol2)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_restoring_force_rejects_a_non_finite_displacement(sol2, y):
+    with pytest.raises(ValidationError, match=r"^displacement y must be finite"):
+        restoring_force(y, sol2)
+
+
 @pytest.mark.parametrize("K, y", [(2.0, 1e103), (5e-324, 6e102), (1e8, 1e154)])
 def test_restoring_force_past_the_cube_overflow_is_the_spring_pull(K, y):
     # (ell + y)**3 overflows past 5.6e102, where the push 2/(ell + y)**3 is far

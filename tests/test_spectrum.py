@@ -1,15 +1,16 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import box_nodes, quad_strict
+from conftest import box_nodes, mean_position, quad_strict, sign_changes
 from zpbox import (
     DomainError,
-    NumericalError,
     ValidationError,
+    check_level,
     collision_frequency,
     count_nodes,
     energy_level,
@@ -35,6 +36,13 @@ def test_energy_levels():
 def test_energy_level_rejects_bad_n(bad_n):
     with pytest.raises(ValidationError):
         energy_level(bad_n, 1.0)
+
+
+@pytest.mark.parametrize("bad_n", [True, np.True_, 3.0, np.float64(3.0)])
+def test_check_level_rejects_bools_and_floats(bad_n):
+    message = f"quantum number n must be an integer, got {bad_n!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        check_level(bad_n)
 
 
 @pytest.mark.parametrize("bad_ell", [0.0, -1.0, math.nan, math.inf])
@@ -72,18 +80,10 @@ def test_wavefunction_domain_errors():
 
 
 def test_position_expectation_is_half_the_box():
-    assert position_expectation(1, 1.0) == pytest.approx(0.5, abs=1e-10)
-    assert position_expectation(5, 1.0) == pytest.approx(0.5, abs=1e-10)
-    assert position_expectation(1, 2.0) == pytest.approx(1.0, abs=1e-10)
-    # 10^5 antinodal segments: many quadrature blocks
-    assert abs(position_expectation(100_000, 1.3) - 0.65) <= 1e-10
-
-
-def test_position_expectation_raises_when_the_rules_disagree(monkeypatch):
-    # a 1-point and a 2-point rule cannot integrate x sin^2 on a segment
-    monkeypatch.setattr(spectrum, "_GAUSS_ORDER", 1)
-    with pytest.raises(NumericalError, match="error estimate"):
-        position_expectation(3, 1.0)
+    assert position_expectation(1, 1.0) == 0.5
+    assert position_expectation(5, 1.0) == 0.5
+    assert position_expectation(1, 2.0) == 1.0
+    assert position_expectation(100_000, 1.3) == 0.65
 
 
 def test_wall_force_values_and_energy_identity():
@@ -132,11 +132,20 @@ def test_normalization(n, ell):
     assert norm == pytest.approx(1.0, abs=1e-10)
 
 
-# 5000 levels are 5 sampling blocks, with a node at every block boundary
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 12, 5000])
 def test_interior_node_count(n):
     for ell in SIZES:
         assert count_nodes(n, ell) == n - 1
+
+
+@pytest.mark.parametrize("ell", SIZES)
+@pytest.mark.parametrize("levels", [range(1, 51), [5000]], ids=["n<=50", "n=5000"])
+def test_closed_forms_match_the_sampled_eigenfunction(levels, ell):
+    for n in levels:
+        assert count_nodes(n, ell) == sign_changes(n, ell)
+        assert position_expectation(n, ell) == pytest.approx(
+            mean_position(n, ell), abs=1e-10
+        )
 
 
 @pytest.mark.parametrize("n,ell", [(1, 1.0), (2, 1.0), (6, 1.38), (11, 2.0)])
@@ -187,6 +196,14 @@ def test_plane_wave_superposition(n, ell):
 def test_size_outside_the_float_safe_range_is_rejected(fn, args):
     with pytest.raises(ValidationError, match="ell"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn", [count_nodes, position_expectation])
+def test_closed_forms_still_check_their_inputs(fn):
+    with pytest.raises(ValidationError, match="quantum number n"):
+        fn(0, 1.0)
+    with pytest.raises(ValidationError, match="box size ell"):
+        fn(1, 1e-200)
 
 
 @pytest.mark.parametrize("ell", [1e-90, 1e90])
