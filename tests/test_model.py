@@ -134,10 +134,10 @@ def test_eps0_outside_the_float_range_is_a_validation_error(mass, size):
         (check_size, 1, 1.0, 1e-91),
         (check_size, np.float64(1e90), 1e90, math.inf),
         (check_level, np.int64(7), 7, 0),
-        (check_level, np.uint8(2), 2, np.True_),
         (check_level, 1_000_000, 1_000_000, 2.0),
         (check_grid, (0, 1, 2), np.array([0.0, 1.0, 2.0]), [1.0, 0.5]),
         (check_grid, [5e-324], np.array([5e-324]), [-1.0]),
+        (check_level, np.uint8(2), 2, np.True_),
     ],
 )
 def test_validators_normalise_or_lead_their_message_with_the_name(
