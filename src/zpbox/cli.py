@@ -33,7 +33,8 @@ about 0.1 s.  A value already in the environment wins.  The library
 (``import zpbox``) leaves the environment alone, and loads numpy only on
 first use.  The run's own process writes every output; a CSV is formatted
 by numpy a block of rows at a time (``_csv_blocks``), each value exactly
-the text of ``format(v, ".17g")``.
+the text of ``format(v, ".17g")``, from float64 operations that give the
+same digits on every IEEE host.
 """
 
 import argparse
@@ -478,8 +479,8 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
     return s.K, s.mu, None
 
 
-# rows formatted in one numpy pass; its work arrays take about 330 bytes a
-# value, 2.4 MB at 7 columns
+# rows formatted in one numpy pass; its work arrays take about 320 bytes a
+# value, 2.3 MB at 7 columns
 _CSV_BLOCK_ROWS = 1024
 
 # Every value of a block is first written into the same 52-byte superset
@@ -508,37 +509,48 @@ _MIN_POWER, _MAX_POWER = -324, 340
 
 
 # Lookup tables of the vectorised "%.17g", indexed as noted:
-#   near[k - _MIN_POWER]   10**k rounded to the nearest long double
 #   ceil[k - _MIN_POWER]   the smallest double >= 10**k
-#   tie                    3u, u = 2**-64 a bound on near's relative error
+#   power[k - _MIN_POWER]  high, its 26-bit halves hh and hl, and low, where
+#   scale[k - _MIN_POWER]  10**k = (high + low) 2**scale (_powers_of_ten)
 #   digits[n], zeros[n]    "%04d" % n as a uint32, and its trailing zeros
 #   exponent[X - _MIN_POWER]   "e", sign and three digits, as two words
 #   shape[X - _MIN_POWER]  the keep row of 17 digits, positive
 #   keep[shape]            the bytes kept; _CSV_SHAPES + L keeps the first L
 _CsvTables = namedtuple(
-    "_CsvTables", "near ceil tie digits zeros exponent shape keep"
+    "_CsvTables", "ceil power scale digits zeros exponent shape keep"
 )
 
 
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """10**k for k in [_MIN_POWER, _MAX_POWER]: rounded to the nearest long
-    double by the platform's own parser, and rounded up to a double."""
-    texts = [f"1e{k}" for k in range(_MIN_POWER, _MAX_POWER + 1)]
-    ceil = []
-    for k, text in enumerate(texts, start=_MIN_POWER):
-        v = float(text)  # the nearest double: 10**k rounds up to v or the next
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10**k for k in [_MIN_POWER, _MAX_POWER], from exact integers: ceil, the
+    smallest double >= 10**k, and 10**k = (high + low) 2**scale, high in [1, 2]
+    and low its remainder, each correctly rounded as int / int is."""
+    ceil, high, low, scale = [], [], [], []
+    for k in range(_MIN_POWER, _MAX_POWER + 1):
+        v = float(f"1e{k}")  # the nearest double: 10**k rounds up to v or the next
         if v < math.inf:
             n, m = v.as_integer_ratio()
             if (n * 10**-k < m) if k < 0 else (n < m * 10**k):  # v < 10**k
                 v = math.nextafter(v, math.inf)
         ceil.append(v)
-    return np.array(texts, dtype=np.longdouble), np.array(ceil)
+        n, m = (10**k, 1) if k >= 0 else (1, 10**-k)
+        s = n.bit_length() - m.bit_length()
+        n, m = n << max(-s, 0), m << max(s, 0)  # n/m = 10**k / 2**s in (1/2, 2)
+        if n < m:
+            s, n = s - 1, 2 * n
+        high.append(n / m)
+        low.append((n * 2**52 - int(high[-1] * 2**52) * m) / (m * 2**52))
+        scale.append(s)
+    return np.array(ceil), np.array(high), np.array(low), np.array(scale, np.intc)
 
 
 @functools.cache
 def _csv_tables() -> _CsvTables:
     """The tables, built on the first CSV block, never at import."""
-    near, ceil = _powers_of_ten()
+    ceil, high, low, scale = _powers_of_ten()
+    c = high * (2.0**27 + 1)  # Veltkamp's split: hh + hl = high, 26 bits each
+    hh = c - (c - high)
+    power = np.stack([high, hh, high - hh, low], axis=1)
     ten = np.arange(10, dtype=np.uint8)
     group = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), axis=-1)
     digits = (group + ord("0")).view(np.uint32).ravel()  # group n = "%04d" % n
@@ -550,8 +562,8 @@ def _csv_tables() -> _CsvTables:
     exponent = np.zeros((len(x), 8), np.uint8)
     exponent[:, 0] = ord("e")
     exponent[:, 1] = np.where(x < 0, ord("-"), ord("+"))
-    for col, scale in enumerate((100, 10, 1), start=2):
-        exponent[:, col] = ord("0") + ax // scale % 10
+    for col, unit in enumerate((100, 10, 1), start=2):
+        exponent[:, col] = ord("0") + ax // unit % 10
     notation = np.where((-4 <= x) & (x <= 16), x + 4, 21 + (ax >= 100))
     # row (notation 17 + s - 1) 2 + sign, s = 17 - trailing zeros
     shape = notation * 34 + 2 * 16
@@ -574,24 +586,9 @@ def _csv_tables() -> _CsvTables:
     raw = p < np.arange(_CSV_WIDTH)[:, None]  # the first L bytes, as written
     keep = np.concatenate([keep, raw]) | (p == _CSV_SEP)
 
-    tie = _rounding_bound(np.finfo(np.longdouble).nmant)
     return _CsvTables(
-        near, ceil, tie, digits, zeros, exponent.view(np.uint32), shape, keep
+        ceil, power, scale, digits, zeros, exponent.view(np.uint32), shape, keep
     )
-
-
-def _rounding_bound(nmant: int) -> float:
-    """The relative error bound 3u of ``y' = a near[16 - X]``, for a long
-    double with ``nmant`` stored significand bits.
-
-    ``near`` comes from the platform's correctly rounded parser (strtold),
-    rounded like the product to the long double's own significand: 64 bits
-    for x87 extended (nmant 63), 113 for binary128 (nmant 112), and u =
-    2**-64 bounds both errors.  Any other long double (binary64, or
-    PowerPC's double-double, which does not round as IEEE does) gets no
-    bound: every value takes Python's format.
-    """
-    return 3 * 2.0**-64 if nmant in (63, 112) else math.inf
 
 
 def _csv_blocks(columns):
@@ -607,14 +604,15 @@ def _csv_blocks(columns):
     width = len(columns)
     n = _CSV_BLOCK_ROWS * width
     values = np.empty(n)  # the block, row-major
-    a = np.empty(n)  # |v|, then the rounding bound
+    a = np.empty(n)  # |v|, then A
     f = np.empty(n)
     e = np.empty(n, np.intc)
     x = np.empty(n, np.intp)  # decimal exponent X
     i = np.empty(n, np.intp)
     b = np.empty(n, bool)
     slow = np.empty(n, bool)  # formatted by Python
-    y = np.empty(n, np.longdouble)
+    product = np.empty((4, n))  # p, r, ah, al: Dekker's product
+    power = np.empty((n, 4))  # high, hh, hl, low of 10**(16 - X)
     d = np.empty(n, np.int64)  # the 17 digits, then D0
     q = np.empty(n, np.int64)
     groups = np.empty((n, 4), np.intp)  # D1-D4 ... D13-D16
@@ -630,106 +628,108 @@ def _csv_blocks(columns):
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
         n = len(block[0]) * width  # fewer than the arrays hold in the last block
-        values, a, f, e, x, i, b, slow, y, d, q, shape, lead = (
-            w[:n] for w in (values, a, f, e, x, i, b, slow, y, d, q, shape, lead)
+        values, a, f, e, x, i, b, slow, d, q, shape, lead = (
+            w[:n] for w in (values, a, f, e, x, i, b, slow, d, q, shape, lead)
         )
-        groups, zeros, digits, exponent, words, keep = (
-            w[:n] for w in (groups, zeros, digits, exponent, words, keep)
+        p, r, ah, al = product[:, :n]
+        power, groups, zeros, digits, exponent, words, keep = (
+            w[:n] for w in (power, groups, zeros, digits, exponent, words, keep)
         )
-        with np.errstate(over="ignore", invalid="ignore"):  # inf where u is too wide
-            np.stack(block, axis=1, out=values.reshape(-1, width))
-            np.abs(values, out=a)
-            np.isfinite(a, out=b)
-            np.equal(a, 0.0, out=slow)
-            np.logical_not(b, out=b)
-            slow |= b
-            np.copyto(a, 1.0, where=slow)
+        np.stack(block, axis=1, out=values.reshape(-1, width))
+        np.abs(values, out=a)
+        np.isfinite(a, out=b)
+        np.logical_not(b, out=b)
+        np.copyto(a, 0.0, where=b)  # nan is never compared
+        np.equal(a, 0.0, out=slow)
+        np.copyto(a, 1.0, where=slow)
 
-            # The 17 digits d and decimal exponent X of a = |v|: d = round(y) for
-            # y = a 10**(16 - X) in [10**16, 10**17).  First X: frexp gives
-            # a = m 2**e, m in [1/2, 1), so X is floor((e - 1) log10 2) or one
-            # more, which the comparison with the smallest double >= 10**(X + 1)
-            # decides exactly.  Then y: P = 10**(16 - X) and the product are
-            # each rounded to the long double's own significand (64 or 113
-            # bits), so with u = 2**-64 the computed y' = a P (1 + d1) (1 + d2),
-            # |d1|, |d2| <= u, and |y' - y| <= (2u + u**2) y < 3u y'
-            # (_rounding_bound).  y' < 2**57 keeps at least 7 fractional bits,
-            # so its integer part is exact, and so is its fraction f as a double
-            # but for at most 2**-53 where long double is binary128.  Unless f is
-            # within 3u y' of 1/2 (the margin 2**-50 covers that and the
-            # rounding of the bound itself), y and y' lie on the same side of
-            # that half-integer, and round(y) = floor(y') + (f > 1/2): correctly
-            # rounded, as Python's dtoa rounds.  Those near ties, about 1 % of
-            # the values, and every value where long double is neither x87
-            # extended nor binary128 (the bound is then inf), take Python's own
-            # format.
-            np.frexp(a, f, e)
-            e -= 1
-            e *= 78913
-            e >>= 18  # floor((e - 1) log10 2), exact for |e - 1| < 1651
-            np.copyto(x, e)
-            np.add(x, 1 - _MIN_POWER, out=i)
-            np.take(t.ceil, i, out=f, mode="clip")
-            np.greater_equal(a, f, out=b)
-            x += b
-            np.subtract(16 - _MIN_POWER, x, out=i)
-            np.take(t.near, i, out=y, mode="clip")
-            y *= a
-            np.copyto(d, y, casting="unsafe")  # floor(y')
-            np.subtract(y, d, out=f)
-            np.multiply(y, t.tie, out=a)
-            a += 2.0**-50
-            np.greater(f, 0.5, out=b)
-            d += b
-            f -= 0.5
-            np.abs(f, out=f)
-            np.greater(f, a, out=b)  # false for nan too
-            np.logical_not(b, out=b)
-            slow |= b
-            np.equal(d, 10**17, out=b)  # rounded up a decade: one digit, X + 1
-            np.copyto(d, 10**16, where=b)
-            x += b
+        # The 17 digits d and decimal exponent X of a = |v|: d = round(y) for
+        # y = a 10**(16 - X) in [10**16, 10**17).  First X: frexp gives
+        # a = m 2**e, m in [1/2, 1), so X is floor((e - 1) log10 2) or one
+        # more, which the comparison with the smallest double >= 10**(X + 1)
+        # decides exactly.  Then y = A (high + low) for 10**(16 - X) = (high +
+        # low) 2**scale and A = a 2**scale, exact in [2**52, 2**57).  Dekker's
+        # product splits A high exactly into p, an integer, and r; with A low
+        # added, y' = p + r is within 2**-46 of y.  Unless y' is within 2**-40
+        # of a half-integer, round(y) = p + rint(r), correctly rounded as
+        # Python's dtoa rounds.  Those values (exact ties such as 2**-25, else
+        # about one in 10**12) take Python's own format, as do 0, inf and nan.
+        np.frexp(a, f, e)
+        e -= 1
+        e *= 78913
+        e >>= 18  # floor((e - 1) log10 2), exact for |e - 1| < 1651
+        np.copyto(x, e)
+        np.add(x, 1 - _MIN_POWER, out=i)
+        np.take(t.ceil, i, out=f, mode="clip")
+        np.greater_equal(a, f, out=b)
+        x += b
+        np.subtract(16 - _MIN_POWER, x, out=i)
+        np.take(t.scale, i, out=e, mode="clip")
+        np.ldexp(a, e, out=a)  # A
+        np.take(t.power, i, axis=0, out=power, mode="clip")
+        high, hh, hl, low = power.T
+        np.multiply(a, 2.0**27 + 1, out=f)  # Veltkamp's split: ah + al = A
+        np.subtract(f, a, out=ah)
+        np.subtract(f, ah, out=ah)
+        np.subtract(a, ah, out=al)
+        np.multiply(a, high, out=p)
+        np.multiply(ah, hh, out=r)  # r = ((ah hh - p) + ah hl + al hh) + al hl
+        r -= p
+        for u, v in ((ah, hl), (al, hh), (al, hl), (a, low)):
+            np.multiply(u, v, out=f)
+            r += f
+        np.rint(r, out=f)
+        r -= f  # exact, in [-1/2, 1/2]
+        np.copyto(d, p, casting="unsafe")
+        np.copyto(q, f, casting="unsafe")
+        d += q
+        np.abs(r, out=r)
+        np.greater_equal(r, 0.5 - 2.0**-40, out=b)
+        slow |= b
+        np.equal(d, 10**17, out=b)  # rounded up a decade: one digit, X + 1
+        np.copyto(d, 10**16, where=b)
+        x += b
 
-            # d = D0 D1 ... D16: the leading digit, four groups of four digits,
-            # and the count of trailing zeros, z3 + [g3 = 0](z2 + [g2 = 0](z1 +
-            # [g1 = 0] z0)) for the groups' own trailing zeros zk
-            np.divmod(d, 10**8, out=(q, i))
-            np.divmod(i, 10_000, out=(groups[:, 2], groups[:, 3]))
-            np.divmod(q, 10**8, out=(d, q))
-            np.divmod(q, 10_000, out=(groups[:, 0], groups[:, 1]))
-            np.take(t.digits, groups, out=digits, mode="clip")
-            np.take(t.zeros, groups, out=zeros, mode="clip")
-            np.equal(groups, 0, out=groups)
-            trailing = zeros[:, 0]
-            for k in (1, 2, 3):
-                np.multiply(trailing, groups[:, k], out=trailing, casting="unsafe")
-                trailing += zeros[:, k]
-            x -= _MIN_POWER
-            np.take(t.shape, x, out=shape, mode="clip")
-            trailing *= 2
-            shape -= trailing
-            np.signbit(values, out=b)
-            shape += b
+        # d = D0 D1 ... D16: the leading digit, four groups of four digits,
+        # and the count of trailing zeros, z3 + [g3 = 0](z2 + [g2 = 0](z1 +
+        # [g1 = 0] z0)) for the groups' own trailing zeros zk
+        np.divmod(d, 10**8, out=(q, i))
+        np.divmod(i, 10_000, out=(groups[:, 2], groups[:, 3]))
+        np.divmod(q, 10**8, out=(d, q))
+        np.divmod(q, 10_000, out=(groups[:, 0], groups[:, 1]))
+        np.take(t.digits, groups, out=digits, mode="clip")
+        np.take(t.zeros, groups, out=zeros, mode="clip")
+        np.equal(groups, 0, out=groups)
+        trailing = zeros[:, 0]
+        for k in (1, 2, 3):
+            np.multiply(trailing, groups[:, k], out=trailing, casting="unsafe")
+            trailing += zeros[:, k]
+        x -= _MIN_POWER
+        np.take(t.shape, x, out=shape, mode="clip")
+        trailing *= 2
+        shape -= trailing
+        np.signbit(values, out=b)
+        shape += b
 
-            words[:, 0] = int.from_bytes(b"-0. ", "little")
-            np.take(t.digits, d, out=lead, mode="clip")
-            words[:, 1] = lead
-            words[:, 2:6] = digits
-            words[:, 6] = int.from_bytes(b"   .", "little")
-            words[:, 7:11] = digits
-            np.take(t.exponent, x, axis=0, out=exponent, mode="clip")
-            words[:, 11:13] = exponent
-            words.reshape(-1, width, _CSV_WORDS)[:, :, 12] |= seps
+        words[:, 0] = int.from_bytes(b"-0. ", "little")
+        np.take(t.digits, d, out=lead, mode="clip")
+        words[:, 1] = lead
+        words[:, 2:6] = digits
+        words[:, 6] = int.from_bytes(b"   .", "little")
+        words[:, 7:11] = digits
+        np.take(t.exponent, x, axis=0, out=exponent, mode="clip")
+        words[:, 11:13] = exponent
+        words.reshape(-1, width, _CSV_WORDS)[:, :, 12] |= seps
 
-            text = words.view(np.uint8)
-            index = np.flatnonzero(slow)
-            if len(index):
-                texts = [format(v, ".17g") for v in values[index].tolist()]
-                raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
-                text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
-                shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
-            chunk = text[np.take(t.keep, shape, axis=0, out=keep, mode="clip")]
-        yield chunk  # under the caller's own numpy error state
+        text = words.view(np.uint8)
+        index = np.flatnonzero(slow)
+        if len(index):
+            texts = [format(v, ".17g") for v in values[index].tolist()]
+            raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
+            text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
+            shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
+        chunk = text[np.take(t.keep, shape, axis=0, out=keep, mode="clip")]
+        yield chunk
 
 
 def _write_csv(path: Path, header, columns) -> None:

@@ -542,7 +542,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
     assert path.read_bytes() == expected
 
 
-_DYNAMICS_20 = ["dynamics", "--K", "2", "--n-periods", "20"]  # 2001 CSV rows
+_DYNAMICS_20 = ["dynamics", "--K", "2", "--n-periods", "20"]  # 20 001 CSV rows
 
 
 def _per_value_csv(header, columns) -> bytes:
@@ -612,10 +612,9 @@ def test_csv_formats_edge_values_exactly(tmp_path, sign):
 
 
 def test_undecided_rounding_takes_pythons_format(tmp_path, monkeypatch):
-    # 2**-25 is a tie at 17 digits (...3125, to even: ...312), and
-    # 0.6353867998907108 is 0.635386799890710785..., within the bound of one
-    decided = 0.1
-    undecided = [2.0**-25, 0.6353867998907108]
+    # 2**-25 is a tie at 17 digits (...3125, to even: ...312); the product
+    # decides 0.6353867998907108 (0.635386799890710785...) by itself
+    decided = [0.1, 0.6353867998907108]
     formatted = []
 
     def spy(value, spec):
@@ -623,50 +622,60 @@ def test_undecided_rounding_takes_pythons_format(tmp_path, monkeypatch):
         return format(value, spec)
 
     monkeypatch.setattr(cli, "format", spy, raising=False)
-    columns = [np.array([decided, *undecided])]
+    columns = [np.array([decided[0], 2.0**-25, decided[1]])]
     path = tmp_path / "ties.csv"
     _write_csv(path, ["v"], columns)
-    assert formatted == undecided
+    assert formatted == [2.0**-25]
     expected = b"v\n0.10000000000000001\n2.9802322387695312e-08\n0.63538679989071079\n"
     assert path.read_bytes() == expected
 
 
-def test_csv_without_a_wide_long_double_formats_every_value_in_python(
-    tmp_path, monkeypatch
-):
-    # where long double is binary64, the rounding bound decides no value
-    tables = cli._csv_tables()._replace(tie=math.inf)
-    monkeypatch.setattr(cli, "_csv_tables", lambda: tables)
-    rng = np.random.default_rng(5)
-    columns = [
-        np.array([1.0, -(2.0**53), 2.0**53, 0.0]),
-        np.array([0.1, -0.0, math.nan, 1e300]),
-        rng.integers(0, 2**64, 4, dtype=np.uint64).view(np.float64),
-    ]
-    path = tmp_path / "python.csv"
-    _write_csv(path, ["n", "x", "y"], columns)
-    assert path.read_bytes() == _per_value_csv(["n", "x", "y"], columns)
+def test_dynamics_csv_takes_pythons_format_for_its_zeros_only(tmp_path, monkeypatch):
+    formatted, rows = [], []
+    write_csv = cli._write_csv
+
+    def spy(value, spec):
+        formatted.append(value)
+        return format(value, spec)
+
+    def write_spied(path, header, columns):
+        rows.append(len(list(columns)[0]))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "format", spy, raising=False)
+            write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", write_spied)
+    assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 0
+    assert rows == [20001]
+    assert formatted and set(formatted) == {0.0}  # row 0's t, v and kinetic
 
 
-@pytest.mark.parametrize("nmant", [63, 112])
-def test_rounding_bound_covers_the_power_tables_error(nmant):
-    # near holds 10**k to a 64-bit significand whatever the long double,
-    # so the bound must cover a 2**-64 error in P for binary128 too
-    u = Fraction(1, 2**64)
-    near = cli._csv_tables().near
-    for k, p in zip(range(cli._MIN_POWER, cli._MAX_POWER + 1), near):
+def test_power_tables_hold_each_power_of_ten_to_2_to_the_minus_104():
+    ceil, high, low, scale = cli._powers_of_ten()
+    powers = range(cli._MIN_POWER, cli._MAX_POWER + 1)
+    for k, c, h, lo, s in zip(powers, ceil, high, low, scale.tolist()):
         exact = Fraction(10) ** k
-        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= u * exact
-    assert cli._rounding_bound(nmant) >= 3 * u
+        held = (Fraction(h) + Fraction(lo)) * Fraction(2) ** s
+        assert abs(held - exact) <= Fraction(1, 2**104) * exact
+        assert 1.0 <= h <= 2.0
+        assert c >= exact and math.nextafter(c, 0.0) < exact
 
 
-@pytest.mark.parametrize("nmant", [52, 105])  # binary64, double-double
-def test_other_long_doubles_get_no_rounding_bound(nmant):
-    assert cli._rounding_bound(nmant) == math.inf
+def test_csv_is_exact_over_random_and_edge_patterns(tmp_path):
+    rng = np.random.default_rng(11)
+    patterns = rng.integers(0, 2**64, 3 * 4000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate(
+        [np.array(_MISROUNDED_BY_A_NARROW_BOUND + _EDGE_FLOATS), patterns]
+    )
+    columns = [values[: len(values) // 3 * 3][j::3] for j in range(3)]
+    path = tmp_path / "patterns.csv"
+    with np.errstate(all="raise"):  # no floating-point exception in any operation
+        _write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
 
 
-# decades where 10**(16 - X) is not exact in 64 bits: each value is decided
-# wrongly by a bound that leaves out the power table's own error
+# decades where 10**(16 - X) is not exact in 64 bits: a long-double product
+# with a bound that left out the power table's own error decided each wrongly
 _MISROUNDED_BY_A_NARROW_BOUND = [
     -5.736632302678879e280,
     3.1840308524721733e-211,
@@ -677,21 +686,6 @@ _MISROUNDED_BY_A_NARROW_BOUND = [
     1.2565321321327867e143,
     -3.3448499066819996e-298,
 ]
-
-
-@pytest.mark.parametrize("nmant", [63, 112])
-def test_csv_is_exact_under_each_long_doubles_bound(tmp_path, monkeypatch, nmant):
-    tables = cli._csv_tables()._replace(tie=cli._rounding_bound(nmant))
-    monkeypatch.setattr(cli, "_csv_tables", lambda: tables)
-    rng = np.random.default_rng(11)
-    patterns = rng.integers(0, 2**64, 3 * 4000, dtype=np.uint64).view(np.float64)
-    values = np.concatenate(
-        [np.array(_MISROUNDED_BY_A_NARROW_BOUND + _EDGE_FLOATS), patterns]
-    )
-    columns = [values[: len(values) // 3 * 3][j::3] for j in range(3)]
-    path = tmp_path / "bound.csv"
-    _write_csv(path, ["a", "b", "c"], columns)
-    assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
 
 
 def test_integral_doubles_print_as_their_digits():
