@@ -650,7 +650,7 @@ def test_dynamics_csv_takes_pythons_format_for_its_zeros_only(tmp_path, monkeypa
     assert formatted and set(formatted) == {0.0}  # row 0's t, v and kinetic
 
 
-def test_power_tables_hold_each_power_of_ten_to_2_to_the_minus_104():
+def test_rounding_of_the_power_tables_is_within_2_to_the_minus_104():
     ceil, high, low, scale = cli._powers_of_ten()
     powers = range(cli._MIN_POWER, cli._MAX_POWER + 1)
     for k, c, h, lo, s in zip(powers, ceil, high, low, scale.tolist()):
