@@ -527,13 +527,13 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
     and low its remainder, each correctly rounded as int / int is."""
     ceil, high, low, scale = [], [], [], []
     for k in range(_MIN_POWER, _MAX_POWER + 1):
+        n, m = (10**k, 1) if k >= 0 else (1, 10**-k)  # 10**k = n/m
         v = float(f"1e{k}")  # the nearest double: 10**k rounds up to v or the next
         if v < math.inf:
-            n, m = v.as_integer_ratio()
-            if (n * 10**-k < m) if k < 0 else (n < m * 10**k):  # v < 10**k
+            a, b = v.as_integer_ratio()
+            if a * m < b * n:  # v < 10**k
                 v = math.nextafter(v, math.inf)
         ceil.append(v)
-        n, m = (10**k, 1) if k >= 0 else (1, 10**-k)
         s = n.bit_length() - m.bit_length()
         n, m = n << max(-s, 0), m << max(s, 0)  # n/m = 10**k / 2**s in (1/2, 2)
         if n < m:

@@ -614,7 +614,6 @@ def test_csv_formats_edge_values_exactly(tmp_path, sign):
 def test_undecided_rounding_takes_pythons_format(tmp_path, monkeypatch):
     # 2**-25 is a tie at 17 digits (...3125, to even: ...312); the product
     # decides 0.6353867998907108 (0.635386799890710785...) by itself
-    decided = [0.1, 0.6353867998907108]
     formatted = []
 
     def spy(value, spec):
@@ -622,7 +621,7 @@ def test_undecided_rounding_takes_pythons_format(tmp_path, monkeypatch):
         return format(value, spec)
 
     monkeypatch.setattr(cli, "format", spy, raising=False)
-    columns = [np.array([decided[0], 2.0**-25, decided[1]])]
+    columns = [np.array([0.1, 2.0**-25, 0.6353867998907108])]
     path = tmp_path / "ties.csv"
     _write_csv(path, ["v"], columns)
     assert formatted == [2.0**-25]
