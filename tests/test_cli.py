@@ -649,7 +649,37 @@ def test_dynamics_csv_takes_pythons_format_for_its_zeros_only(tmp_path, monkeypa
     assert formatted and set(formatted) == {0.0}  # row 0's t, v and kinetic
 
 
-def test_rounding_of_the_power_tables_is_within_2_to_the_minus_104():
+@pytest.fixture
+def host_long_double(monkeypatch):
+    """Make np.finfo report a long double of nmant fraction bits, the width by
+    which the formatter once chose its digit path on each host; the CSV tables
+    are rebuilt under it, and again after the test."""
+    finfo = np.finfo
+
+    class Reported:
+        def __init__(self, info, nmant):
+            self.info, self.nmant = info, nmant
+
+        def __getattr__(self, name):
+            return getattr(self.info, name)
+
+    def report(nmant):
+        def reporting(dtype):
+            info = finfo(dtype)
+            return Reported(info, nmant) if info.dtype == np.longdouble else info
+
+        monkeypatch.setattr(np, "finfo", reporting)
+        cli._csv_tables.cache_clear()
+        assert np.finfo(np.longdouble).nmant == nmant
+
+    yield report
+    cli._csv_tables.cache_clear()
+
+
+@pytest.mark.parametrize("nmant", [63, 112])  # x87 extended, binary128
+def test_rounding_bound_covers_the_power_tables_error(host_long_double, nmant):
+    # the tables come from exact ints, whatever the host's long double
+    host_long_double(nmant)
     ceil, high, low, scale = cli._powers_of_ten()
     powers = range(cli._MIN_POWER, cli._MAX_POWER + 1)
     for k, c, h, lo, s in zip(powers, ceil, high, low, scale.tolist()):
@@ -658,9 +688,18 @@ def test_rounding_of_the_power_tables_is_within_2_to_the_minus_104():
         assert abs(held - exact) <= Fraction(1, 2**104) * exact
         assert 1.0 <= h <= 2.0
         assert c >= exact and math.nextafter(c, 0.0) < exact
+    # so y < 10**17 moves by less than 2**-47 for it, inside y's 2**-46, and
+    # the 2**-40 band round a half-integer covers both
+    assert 10**17 * Fraction(1, 2**104) < Fraction(1, 2**47)
+    tables = cli._csv_tables()
+    assert np.array_equal(tables.ceil, ceil) and np.array_equal(tables.scale, scale)
+    assert np.array_equal(tables.power[:, [0, 3]], np.stack([high, low], axis=1))
 
 
-def test_csv_is_exact_over_random_and_edge_patterns(tmp_path):
+@pytest.mark.parametrize("nmant", [63, 112])  # x87 extended, binary128
+def test_csv_is_exact_under_each_long_doubles_bound(tmp_path, host_long_double, nmant):
+    # one float64 digit path, whatever long double the host reports
+    host_long_double(nmant)
     rng = np.random.default_rng(11)
     patterns = rng.integers(0, 2**64, 3 * 4000, dtype=np.uint64).view(np.float64)
     values = np.concatenate(
