@@ -34,11 +34,15 @@ about 0.1 s.  A value already in the environment wins.  The library
 first use.  The run's own process writes every output; a CSV is formatted
 by numpy a block of rows at a time (``_csv_blocks``), each value exactly
 the text of ``format(v, ".17g")``, from float64 operations that give the
-same digits on every IEEE host.
+same digits on every IEEE host.  A process started as the CLI ends by
+freezing the garbage collector (``main``): interpreter shutdown would
+otherwise sweep numpy's tens of thousands of objects for nothing, about a
+tenth of a short run.  A closed stdout is one error line and exit 1.
 """
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -522,24 +526,33 @@ _CsvTables = namedtuple(
 
 
 def _powers_of_ten() -> tuple[np.ndarray, ...]:
-    """10**k for k in [_MIN_POWER, _MAX_POWER], from exact integers: ceil, the
-    smallest double >= 10**k, and 10**k = (high + low) 2**scale, high in [1, 2]
-    and low its remainder, each correctly rounded as int / int is."""
+    """10**k for k in [_MIN_POWER, _MAX_POWER], from one exact quotient each:
+    10**k = (high + low) 2**scale, high in [1, 2] and low its remainder, each
+    correctly rounded, and ceil, the smallest double >= 10**k."""
     ceil, high, low, scale = [], [], [], []
     for k in range(_MIN_POWER, _MAX_POWER + 1):
         n, m = (10**k, 1) if k >= 0 else (1, 10**-k)  # 10**k = n/m
-        v = float(f"1e{k}")  # the nearest double: 10**k rounds up to v or the next
-        if v < math.inf:
-            a, b = v.as_integer_ratio()
-            if a * m < b * n:  # v < 10**k
-                v = math.nextafter(v, math.inf)
-        ceil.append(v)
-        s = n.bit_length() - m.bit_length()
-        n, m = n << max(-s, 0), m << max(s, 0)  # n/m = 10**k / 2**s in (1/2, 2)
-        if n < m:
-            s, n = s - 1, 2 * n
-        high.append(n / m)
-        low.append((n * 2**52 - int(high[-1] * 2**52) * m) / (m * 2**52))
+        s = n.bit_length() - 1 if k >= 0 else -m.bit_length()  # 10**k / 2**s
+        # 10**k 2**(127 - s) = q + f, f in [0, 1): u = 2q + [f > 0] keeps a
+        # sticky last bit, so float() rounds u, and u less high's bits, as it
+        # would the exact values, while low lies at most 9 bits below 2**-53
+        # (as it does for these k; the tests compare every k with Fraction)
+        q, r = divmod(n << max(127 - s, 0), m << max(s - 127, 0))
+        u = 2 * q + (r > 0)
+        h = float(u)
+        lo = float(u - int(h)) * 2.0**-128
+        h *= 2.0**-128
+        if s < -1022:  # a subnormal decade: the next multiple of 2**-1074
+            c = math.ldexp(-(-(n << 1074) // m), -1074)
+        elif s > 1023:  # past the largest double
+            c = math.inf
+        else:  # high 2**s is a double, and it is below 10**k where low > 0
+            c = math.ldexp(h, s)
+            if lo > 0:
+                c = math.nextafter(c, math.inf)
+        ceil.append(c)
+        high.append(h)
+        low.append(lo)
         scale.append(s)
     return np.array(ceil), np.array(high), np.array(low), np.array(scale, np.intc)
 
@@ -937,9 +950,25 @@ def run(scenario: Scenario) -> RunSummary:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Console entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+    """Console entry point; returns the process exit code.
+
+    Without ``argv`` (``python -m zpbox.cli`` and the ``zpbox`` script) the
+    run is the process's last work: it reads ``sys.argv`` and, once the
+    outputs are in place and the report or error line is printed, calls
+    ``gc.freeze()``, so the collections at interpreter shutdown skip every
+    object then alive, numpy's included, instead of sweeping them for about
+    20 ms.  ``atexit`` handlers still run.  A caller that passes ``argv``
+    keeps its collector as it was.
+    """
+    if argv is not None:
+        return _main(argv)
+    code = _main(sys.argv[1:])
+    gc.freeze()
+    return code
+
+
+def _main(argv) -> int:
+    """Run argv: the exit code, the report on stdout, an error as one line."""
     try:
         scenario = parse_scenario(argv)
         summary = run(scenario)
@@ -949,11 +978,20 @@ def main(argv: list[str] | None = None) -> int:
     except (ZpboxError, OSError) as exc:  # numerical failures, unwritable --out
         print(f"zpbox: error: {exc}", file=sys.stderr)
         return 1
-    print(f"zpbox {summary.command}: ok ({summary.duration_s:.3f} s)")
-    for key, value in summary.headline.items():
-        print(f"  {key} = {value}")
-    for path in summary.outputs:
-        print(f"  wrote {path}")
+    try:
+        print(f"zpbox {summary.command}: ok ({summary.duration_s:.3f} s)")
+        for key, value in summary.headline.items():
+            print(f"  {key} = {value}")
+        for path in summary.outputs:
+            print(f"  wrote {path}")
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit's flush
+    except BrokenPipeError as exc:  # the outputs are in place all the same
+        # as the signal module's docs advise: the exit flushes stdout again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"zpbox: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,11 +2,11 @@
 
 These deliberately avoid the library's own solvers: the quartic root
 comes from plain bisection, integrals from scipy quadrature called
-directly, the golden-section minimum from Fraction arithmetic, so the
-production code is checked against a separate route.  The eigenfunction
-oracles sample ``zpbox.wavefunction`` itself, the thing they check, and
-test the closed forms that ``count_nodes`` and ``position_expectation``
-return.
+directly, the golden-section minimum and the CSV formatter's powers of ten
+from Fraction arithmetic, so the production code is checked against a
+separate route.  The eigenfunction oracles sample ``zpbox.wavefunction``
+itself, the thing they check, and test the closed forms that
+``count_nodes`` and ``position_expectation`` return.
 """
 
 import math
@@ -161,6 +161,29 @@ def mean_position(n: int, ell: float) -> float:
         quad_strict(lambda x: x * zpbox.wavefunction(n, x, ell) ** 2, a, b)
         for a, b in zip(edges, edges[1:])
     )
+
+
+def power_of_ten_parts(k: int) -> tuple[float, float, float, int]:
+    """10**k as the CSV formatter's tables hold it, built with Fraction:
+    ceil, the smallest double >= 10**k (inf past the largest double); high,
+    the quotient 10**k / 2**scale in [1, 2) rounded to a double; low, what is
+    left of that quotient, rounded to a double; and scale."""
+    exact = Fraction(10) ** k
+    scale = exact.numerator.bit_length() - exact.denominator.bit_length()
+    while Fraction(2) ** scale > exact:
+        scale -= 1
+    while Fraction(2) ** (scale + 1) <= exact:
+        scale += 1
+    quotient = exact / Fraction(2) ** scale
+    high = float(quotient)  # Fraction to float rounds to nearest
+    low = float(quotient - Fraction(high))
+    try:
+        ceil = float(exact)
+    except OverflowError:
+        return math.inf, high, low, scale
+    if Fraction(ceil) < exact:
+        ceil = math.nextafter(ceil, math.inf)
+    return ceil, high, low, scale
 
 
 def range_grid_loop(start: float, stop: float, step: float) -> tuple[float, ...]:

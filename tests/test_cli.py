@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -14,7 +15,12 @@ import numpy as np
 import pytest
 
 import zpbox
-from conftest import quartic_root, range_grid_loop, strain_bisection
+from conftest import (
+    power_of_ten_parts,
+    quartic_root,
+    range_grid_loop,
+    strain_bisection,
+)
 from zpbox import UsageError, cli
 from zpbox.cli import (
     _CSV_BLOCK_ROWS,
@@ -30,6 +36,15 @@ from zpbox.cli import (
     summary_dict,
 )
 from zpbox.errors import NumericalError
+
+
+def _child_env(**extra) -> dict:
+    """This process's environment and ``extra``, with the package's source
+    first on PYTHONPATH, for a fresh ``python -m zpbox.cli`` process."""
+    src = str(Path(zpbox.__file__).resolve().parents[1])
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_parse_minimal_equilibrium():
@@ -208,12 +223,9 @@ def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr() == ("", error)
     assert not out.exists()
     # a fresh process, so an uncaught decode error would show as a traceback
-    src = str(Path(zpbox.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "zpbox.cli", *argv],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -226,19 +238,98 @@ def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
 
 def test_thermal_far_below_the_level_spacing_writes_nothing_to_stderr(tmp_path):
     # a fresh process, so numpy's warnings reach stderr as they would for a user
-    src = str(Path(zpbox.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["thermal", "--K", "2", "--t-grid", "0,5e-324,1e-300"]
     result = subprocess.run(
         [sys.executable, "-m", "zpbox.cli", *argv, "--out", str(tmp_path)],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["equilibrium", "--K", "2"], 0),
+        (["thermal", "--K", "2", "--t-grid", "0,2.4e5"], 1),  # needs > 10**6 levels
+        (["equilibrium", "--K", "-2"], 2),
+    ],
+)
+def test_process_entry_exits_as_an_in_process_run(
+    tmp_path, monkeypatch, capsys, argv, code
+):
+    # python -m zpbox.cli takes main()'s process path; main(argv) does not
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    process.mkdir()
+    in_process.mkdir()
+    result = subprocess.run(
+        [sys.executable, "-m", "zpbox.cli", *argv],
+        cwd=process,
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    monkeypatch.chdir(in_process)
+    assert main(argv) == code
+    assert result.returncode == code
+    stderr = capsys.readouterr().err
+    assert result.stderr == stderr
+    assert len(stderr.splitlines()) == (code != 0)
+    files = {p.name: p.read_bytes() for p in process.iterdir()}
+    assert files == {p.name: p.read_bytes() for p in in_process.iterdir()}
+    assert bool(files) == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["equilibrium", "--K", "2"], ["equilibrium", "--K", "-2"]],
+)
+def test_only_the_process_entry_freezes_the_collector(tmp_path, argv):
+    before = gc.get_freeze_count()
+    main([*argv, "--out", str(tmp_path)])
+    assert gc.get_freeze_count() == before
+    # main() with sys.argv, as the console script calls it, in a fresh process
+    script = (
+        "import gc, sys; from zpbox.cli import main; "
+        f"sys.argv = ['zpbox', *{argv!r}, '--out', {str(tmp_path)!r}]; "
+        "before = gc.get_freeze_count(); main(); "
+        "print(before, gc.get_freeze_count(), file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    before, after = map(int, result.stderr.splitlines()[-1].split())
+    assert before == 0 and after > 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_one_error_line_and_exit_1(tmp_path, unbuffered):
+    # the report goes to a pipe whose reading end is already closed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "zpbox.cli", "equilibrium", "--K", "2"],
+            cwd=tmp_path,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 1
+    assert result.stderr == "zpbox: error: [Errno 32] Broken pipe\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["equilibrium_summary.json"]
 
 
 def test_thermal_run_keeps_only_the_columns_it_writes(tmp_path):
@@ -440,13 +531,10 @@ def test_sweep_rows_equal_solve_equilibrium_across_the_float_range(tmp_path):
         "5e-324,1e-300,1e-200,1e-16,0.01,0.25,2,3.7,1e8,1e200,"
         "1.7976931348623157e308"
     )
-    src = str(Path(zpbox.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "zpbox.cli", "sweep", "--K-grid", grid],
         cwd=tmp_path,
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -694,6 +782,17 @@ def test_rounding_bound_covers_the_power_tables_error(host_long_double, nmant):
     tables = cli._csv_tables()
     assert np.array_equal(tables.ceil, ceil) and np.array_equal(tables.scale, scale)
     assert np.array_equal(tables.power[:, [0, 3]], np.stack([high, low], axis=1))
+
+
+def test_power_tables_equal_an_exact_fraction_construction():
+    # every power's ceil, high, low and scale, bit for bit (the sign of 0 too);
+    # the test above checks that _csv_tables stores them as built
+    powers = range(cli._MIN_POWER, cli._MAX_POWER + 1)
+    ceil, high, low, scale = zip(*(power_of_ten_parts(k) for k in powers))
+    *built, built_scale = cli._powers_of_ten()
+    expected = [np.array(ceil), np.array(high), np.array(low)]
+    assert [a.tobytes() for a in built] == [a.tobytes() for a in expected]
+    assert built_scale.tolist() == list(scale)
 
 
 @pytest.mark.parametrize("nmant", [63, 112])  # x87 extended, binary128
