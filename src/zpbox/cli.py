@@ -957,18 +957,30 @@ def main(argv: list[str] | None = None) -> int:
     outputs are in place and the report or error line is printed, calls
     ``gc.freeze()``, so the collections at interpreter shutdown skip every
     object then alive, numpy's included, instead of sweeping them for about
-    20 ms.  ``atexit`` handlers still run.  A caller that passes ``argv``
-    keeps its collector as it was.
+    20 ms.  ``atexit`` handlers still run.  A closed stdout is one error
+    line and exit 1; the process then points its stdout at ``os.devnull``,
+    as the ``signal`` module's docs advise, so the exit's flush cannot fail
+    again.  A caller that passes ``argv`` keeps its collector and its stdout
+    as they were.
     """
-    if argv is not None:
-        return _main(argv)
-    code = _main(sys.argv[1:])
-    gc.freeze()
-    return code
+    process = argv is None
+    try:
+        return _main(sys.argv[1:] if process else argv)
+    except BrokenPipeError as exc:  # the outputs are in place all the same
+        if process:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"zpbox: error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if process:
+            gc.freeze()
 
 
 def _main(argv) -> int:
-    """Run argv: the exit code, the report on stdout, an error as one line."""
+    """Run argv: the exit code, the report on stdout, an error as one line;
+    a closed stdout raises BrokenPipeError once the outputs are in place."""
     try:
         scenario = parse_scenario(argv)
         summary = run(scenario)
@@ -978,20 +990,12 @@ def _main(argv) -> int:
     except (ZpboxError, OSError) as exc:  # numerical failures, unwritable --out
         print(f"zpbox: error: {exc}", file=sys.stderr)
         return 1
-    try:
-        print(f"zpbox {summary.command}: ok ({summary.duration_s:.3f} s)")
-        for key, value in summary.headline.items():
-            print(f"  {key} = {value}")
-        for path in summary.outputs:
-            print(f"  wrote {path}")
-        sys.stdout.flush()  # a closed pipe fails here, not in the exit's flush
-    except BrokenPipeError as exc:  # the outputs are in place all the same
-        # as the signal module's docs advise: the exit flushes stdout again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"zpbox: error: {exc}", file=sys.stderr)
-        return 1
+    print(f"zpbox {summary.command}: ok ({summary.duration_s:.3f} s)")
+    for key, value in summary.headline.items():
+        print(f"  {key} = {value}")
+    for path in summary.outputs:
+        print(f"  wrote {path}")
+    sys.stdout.flush()  # a closed pipe fails here, not in the exit's flush
     return 0
 
 

@@ -1,10 +1,12 @@
 import ast
+import contextlib
 import dataclasses
 import gc
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -329,6 +331,24 @@ def test_closed_stdout_is_one_error_line_and_exit_1(tmp_path, unbuffered):
         os.close(write)
     assert result.returncode == 1
     assert result.stderr == "zpbox: error: [Errno 32] Broken pipe\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["equilibrium_summary.json"]
+
+
+def test_in_process_closed_stdout_leaves_the_callers_stdout_alone(
+    tmp_path, monkeypatch, capsys
+):
+    # main(argv) reports the closed pipe but does not point it at os.devnull
+    read, write = os.pipe()
+    os.close(read)
+    stdout = open(write, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["equilibrium", "--K", "2", "--out", str(tmp_path)]) == 1
+        assert stat.S_ISFIFO(os.fstat(write).st_mode)
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            stdout.close()  # its report is still buffered
+    assert capsys.readouterr().err == "zpbox: error: [Errno 32] Broken pipe\n"
     assert [p.name for p in tmp_path.iterdir()] == ["equilibrium_summary.json"]
 
 
