@@ -486,6 +486,7 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
 # rows formatted in one numpy pass; its work arrays take about 320 bytes a
 # value, 2.3 MB at 7 columns
 _CSV_BLOCK_ROWS = 1024
+_SWEEP_BLOCK = 4096  # stiffnesses a sweep solves at a time: one block of its CSV
 
 # Every value of a block is first written into the same 52-byte superset
 # text (13 little-endian uint32 words), of which its ".17g" text is a
@@ -604,17 +605,17 @@ def _csv_tables() -> _CsvTables:
     )
 
 
-def _csv_blocks(columns):
-    """Yield the CSV bytes of equal-length columns, _CSV_BLOCK_ROWS rows at a time.
+def _csv_blocks(blocks, width):
+    """Yield the CSV bytes of ``blocks``, each ``width`` equal-length columns
+    of any length, in pieces of at most _CSV_BLOCK_ROWS rows.
 
-    Each value of the float64 columns prints exactly as
-    ``format(v, ".17g")``.  One pass of numpy calls formats a block into
-    work arrays allocated here, once: arrays allocated afresh for each block
-    page-faulted anew (about 45 000 faults and 0.05 s of CPU on a
+    Each value prints exactly as ``format(float(v), ".17g")``.  One pass of
+    numpy calls formats a piece into a prefix of work arrays allocated here,
+    once, before the first block is pulled: arrays allocated afresh for each
+    piece page-faulted anew (about 45 000 faults and 0.05 s of CPU on a
     10**5-row dynamics CSV).
     """
     t = _csv_tables()
-    width = len(columns)
     n = _CSV_BLOCK_ROWS * width
     values = np.empty(n)  # the block, row-major
     a = np.empty(n)  # |v|, then A
@@ -638,17 +639,19 @@ def _csv_blocks(columns):
     keep = np.empty((n, _CSV_WIDTH), bool)
     seps = [ord(",")] * (width - 1) + [ord("\n")]
     seps = np.array(seps, np.uint32) << 24  # the last byte of word 12
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
-        n = len(block[0]) * width  # fewer than the arrays hold in the last block
-        values, a, f, e, x, i, b, slow, d, q, shape, lead = (
-            w[:n] for w in (values, a, f, e, x, i, b, slow, d, q, shape, lead)
-        )
+    flat = (values, a, f, e, x, i, b, slow, d, q, shape, lead)
+    rows = (power, groups, zeros, digits, exponent, words, keep)
+    pieces = (
+        [c[start : start + _CSV_BLOCK_ROWS] for c in block]
+        for block in blocks
+        for start in range(0, len(block[0]), _CSV_BLOCK_ROWS)
+    )
+    for piece in pieces:
+        n = len(piece[0]) * width  # a short piece fills a prefix of each array
+        values, a, f, e, x, i, b, slow, d, q, shape, lead = (w[:n] for w in flat)
         p, r, ah, al = product[:, :n]
-        power, groups, zeros, digits, exponent, words, keep = (
-            w[:n] for w in (power, groups, zeros, digits, exponent, words, keep)
-        )
-        np.stack(block, axis=1, out=values.reshape(-1, width))
+        power, groups, zeros, digits, exponent, words, keep = (w[:n] for w in rows)
+        np.stack(piece, axis=1, out=values.reshape(-1, width))  # ints to float64
         np.abs(values, out=a)
         np.isfinite(a, out=b)
         np.logical_not(b, out=b)
@@ -745,13 +748,12 @@ def _csv_blocks(columns):
         yield chunk
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """Write equal-length columns as CSV under a header line, each block of
-    ``_csv_blocks`` before the next is formatted, so the whole file is never
-    held in memory."""
+def _write_csv(path: Path, header, blocks) -> None:
+    """Write ``blocks`` as CSV under a header line, pulling each block only
+    once the one before it is written, so the file is never held in memory."""
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.writelines(_csv_blocks([np.asarray(c, dtype=float) for c in columns]))
+        fh.writelines(_csv_blocks(blocks, len(header)))
 
 
 def summary_dict(summary: RunSummary) -> dict:
@@ -791,10 +793,15 @@ def _renamed(columns: dict, drop=(), **names) -> dict:
     return {names.get(k, k): v for k, v in columns.items() if k not in drop}
 
 
+def _table(columns: dict):
+    """A CSV table of one block: the columns' names and their values."""
+    return tuple(columns), [tuple(columns.values())]
+
+
 def _spectrum(s: Scenario, K, mu):
     table = spec.level_table(s.n_max, s.ell)
     columns = _renamed(table, collision_frequency="collision_freq")
-    return {"ell": s.ell, "n_max": s.n_max}, columns
+    return {"ell": s.ell, "n_max": s.n_max}, _table(columns)
 
 
 def _equilibrium(s: Scenario, K, mu):
@@ -804,18 +811,12 @@ def _equilibrium(s: Scenario, K, mu):
 
 def _thermal(s: Scenario, K, mu):
     names = ("t", "ell", "alpha", "mean_force", "p1", "p2")
-    t_grid = _grid_points(s.t_grid)
-    columns = {name: np.empty(len(t_grid)) for name in names}
-    start = 0
-    for b in therm.thermal_blocks(K, t_grid):  # of p, only the two lowest levels
-        stop = start + len(b.t)
-        for name, values in zip(names, (b.t, b.ell, b.alpha, b.mean_force, *b.p[:2])):
-            columns[name][start:stop] = values
-        start = stop
-    headline = {"t_max": float(columns["t"][-1])}
-    for name in ("ell", "alpha", "mean_force"):
-        headline[f"{name}_at_t_max"] = float(columns[name][-1])
-    return headline, columns
+    blocks = [  # one array of the six columns a block: p's other levels are freed
+        np.stack((b.t, b.ell, b.alpha, b.mean_force, *b.p[:2]))
+        for b in therm.thermal_blocks(K, _grid_points(s.t_grid))
+    ]
+    keys = ("t_max", "ell_at_t_max", "alpha_at_t_max", "mean_force_at_t_max")
+    return dict(zip(keys, blocks[-1][:, -1].tolist())), (names, blocks)
 
 
 def _dynamics(s: Scenario, K, mu):
@@ -856,20 +857,17 @@ def _dynamics(s: Scenario, K, mu):
         "dt": dt,
         "n_steps": n_steps,
     }
-    return headline, columns
+    return headline, _table(columns)
 
 
 def _sweep(s: Scenario, K, mu):
     k_grid = _grid_points(s.k_grid)
-    sol = eq.equilibria(k_grid)
-    drop = ("residual", "strain_energy")
-    columns = _renamed(sol, drop=drop, effective_stiffness="K_prime")
-    headline = {
-        "n_points": len(k_grid),
-        "K_min": float(k_grid[0]),
-        "K_max": float(k_grid[-1]),
-    }
-    return headline, columns
+    header = ("K", "ell", "strain", "binding_exact", "binding_first_order", "K_prime")
+    keys = (*header[:-1], "effective_stiffness")  # equilibria's columns
+    slices = (k_grid[i : i + _SWEEP_BLOCK] for i in range(0, len(k_grid), _SWEEP_BLOCK))
+    blocks = ([sol[k] for k in keys] for sol in map(eq.equilibria, slices))
+    ends = {"K_min": float(k_grid[0]), "K_max": float(k_grid[-1])}
+    return {"n_points": len(k_grid), **ends}, (header, blocks)
 
 
 @dataclass(frozen=True)
@@ -877,7 +875,7 @@ class _Command:
     """One command: the flags it takes and the work it does."""
 
     flags: tuple[str, ...]  # besides --out and --formats, in _FLAGS order
-    compute: Callable  # (s, K, mu) -> (headline, {CSV column: values} or None)
+    compute: Callable  # (s, K, mu) -> (headline, (header, blocks) or None)
 
 
 _SYSTEM = ("K", "particle-mass", "box-size", "spring-stiffness", "wall-mass")
@@ -895,20 +893,21 @@ _COMMANDS = {
 def run(scenario: Scenario) -> RunSummary:
     """Execute a scenario: compute, then write every requested output file.
 
-    All numeric work happens before any file is opened.  The series columns
-    stream into the CSV block by block; the summary JSON follows.  Each
-    output is written to a temporary file beside it, and only once every
-    output is written is each renamed into place with ``os.replace``; on any
-    failure the temporaries are removed, so a failed run leaves no partial
-    output behind.
+    The CSV pulls a table's blocks one at a time, so a sweep solves each
+    block as its CSV is staged, and nothing without a CSV; other commands
+    finish their numeric work before any file is opened.  The summary JSON
+    follows.  Each output is written to a temporary file beside it, and only
+    once every output is written is each renamed into place with
+    ``os.replace``; on any failure, in a later block too, the temporaries
+    are removed, so a failed run leaves no partial output behind.
     """
     start = time.perf_counter()
     K, mu, scales = _resolve_system(scenario)
-    headline, columns = _COMMANDS[scenario.command].compute(scenario, K, mu)
+    headline, table = _COMMANDS[scenario.command].compute(scenario, K, mu)
 
     out_dir = Path(scenario.out_dir)
     csv_path = None
-    if columns is not None and "csv" in scenario.formats:
+    if table is not None and "csv" in scenario.formats:
         csv_path = out_dir / f"{scenario.command}.csv"
     json_path = None
     if "json" in scenario.formats:
@@ -935,7 +934,7 @@ def run(scenario: Scenario) -> RunSummary:
     }
     try:
         if csv_path is not None:
-            _write_csv(staged[csv_path], columns.keys(), columns.values())
+            _write_csv(staged[csv_path], *table)
         if json_path is not None:
             text = json.dumps(summary_dict(summary), indent=2) + "\n"
             staged[json_path].write_text(text)

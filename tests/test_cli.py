@@ -365,6 +365,65 @@ def test_thermal_run_keeps_only_the_columns_it_writes(tmp_path):
     assert peak < 4 * 2**20
 
 
+def test_sweep_run_solves_a_block_at_a_time(tmp_path):
+    # solved as one array, this grid peaked at 16.3 MiB under tracemalloc
+    argv = ["sweep", "--K-grid", "1:100000:1", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_sweep_without_a_csv_solves_nothing(tmp_path, monkeypatch):
+    solved = []
+    equilibria = cli.eq.equilibria
+
+    def spy(K_grid):
+        solved.append(len(K_grid))
+        return equilibria(K_grid)
+
+    monkeypatch.setattr(cli.eq, "equilibria", spy)
+    argv = ["sweep", "--K-grid", "1:10000:1", "--out"]
+    assert main([*argv, str(tmp_path / "both")]) == 0
+    block = cli._SWEEP_BLOCK  # never the whole grid at once
+    assert solved == [block, block, 10000 - 2 * block]
+    solved.clear()
+    assert main([*argv, str(tmp_path / "json"), "--formats", "json"]) == 0
+    assert solved == []
+    both, alone = (
+        json.loads((tmp_path / name / "sweep_summary.json").read_text())
+        for name in ("both", "json")
+    )
+    assert alone["outputs"] == [str(tmp_path / "json" / "sweep_summary.json")]
+    for summary in (both, alone):  # less the manifest and the --out, --formats echo
+        del summary["outputs"], summary["argv"][-4:]
+    assert alone == both
+
+
+def test_sweep_failing_in_a_later_block_leaves_no_output(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    equilibria = cli.eq.equilibria
+
+    def fails_second(K_grid):
+        calls.append(len(K_grid))
+        if len(calls) == 2:
+            raise NumericalError("solve failed in the second block")
+        return equilibria(K_grid)
+
+    monkeypatch.setattr(cli.eq, "equilibria", fails_second)
+    argv = ["sweep", "--K-grid", "1:10000:1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "zpbox: error: solve failed in the second block\n"
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []  # neither an output nor a .tmp file
+
+
 _SYSTEM_HELP = [
     "--K",
     "--particle-mass",
@@ -646,7 +705,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path, n_rows):
     expected = ("\n".join(lines) + "\n").encode()
 
     path = tmp_path / "golden.csv"
-    _write_csv(path, header, columns)
+    _write_csv(path, header, [columns])
     assert path.read_bytes() == expected
 
 
@@ -661,13 +720,28 @@ def _per_value_csv(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def test_write_csv_of_uneven_blocks_matches_per_value_formatting(tmp_path):
+    # a short block before a long one: each piece fills a prefix of the
+    # formatter's arrays, which a view kept from a short piece cannot hold
+    rng = np.random.default_rng(5)
+    sizes = (5, 3000, 1, _CSV_BLOCK_ROWS)
+    values = rng.integers(0, 2**64, (3, sum(sizes)), dtype=np.uint64).view(np.float64)
+    edges = np.cumsum(sizes)[:-1]
+    blocks = list(zip(*(np.split(row, edges) for row in values)))
+    assert [len(block[0]) for block in blocks] == list(sizes)
+    path = tmp_path / "uneven.csv"
+    _write_csv(path, ["a", "b", "c"], blocks)
+    assert path.read_bytes() == _per_value_csv(["a", "b", "c"], list(values))
+
+
 def test_dynamics_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     tables = []
     write_csv = cli._write_csv
 
-    def keep(path, header, columns):
+    def keep(path, header, blocks):
+        [columns] = blocks = list(blocks)  # dynamics writes one block
         tables.append((list(header), list(columns)))
-        write_csv(path, header, columns)
+        write_csv(path, header, blocks)
 
     monkeypatch.setattr(cli, "_write_csv", keep)
     assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 0
@@ -681,7 +755,7 @@ def test_csv_blocks_leave_numpys_error_state_alone_between_blocks():
     column = np.linspace(-1e300, 1e300, 2 * _CSV_BLOCK_ROWS + 1)
     before = np.geterr()
     chunks = []
-    for chunk in cli._csv_blocks([column, column]):
+    for chunk in cli._csv_blocks([[column, column]], 2):
         assert np.geterr() == before  # the caller's state while it holds a block
         chunks.append(chunk.tobytes())
     assert len(chunks) == 3
@@ -715,7 +789,7 @@ def test_csv_formats_edge_values_exactly(tmp_path, sign):
     values = np.array(_EDGE_FLOATS) * sign
     columns = [values[: len(values) // 3 * 3][j::3] for j in range(3)]
     path = tmp_path / "edges.csv"
-    _write_csv(path, ["a", "b", "c"], columns)
+    _write_csv(path, ["a", "b", "c"], [columns])
     assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
 
 
@@ -731,7 +805,7 @@ def test_undecided_rounding_takes_pythons_format(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "format", spy, raising=False)
     columns = [np.array([0.1, 2.0**-25, 0.6353867998907108])]
     path = tmp_path / "ties.csv"
-    _write_csv(path, ["v"], columns)
+    _write_csv(path, ["v"], [columns])
     assert formatted == [2.0**-25]
     expected = b"v\n0.10000000000000001\n2.9802322387695312e-08\n0.63538679989071079\n"
     assert path.read_bytes() == expected
@@ -745,11 +819,12 @@ def test_dynamics_csv_takes_pythons_format_for_its_zeros_only(tmp_path, monkeypa
         formatted.append(value)
         return format(value, spec)
 
-    def write_spied(path, header, columns):
+    def write_spied(path, header, blocks):
+        [columns] = blocks = list(blocks)  # dynamics writes one block
         rows.append(len(list(columns)[0]))
         with monkeypatch.context() as m:
             m.setattr(cli, "format", spy, raising=False)
-            write_csv(path, header, columns)
+            write_csv(path, header, blocks)
 
     monkeypatch.setattr(cli, "_write_csv", write_spied)
     assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 0
@@ -827,7 +902,7 @@ def test_csv_is_exact_under_each_long_doubles_bound(tmp_path, host_long_double, 
     columns = [values[: len(values) // 3 * 3][j::3] for j in range(3)]
     path = tmp_path / "patterns.csv"
     with np.errstate(all="raise"):  # no floating-point exception in any operation
-        _write_csv(path, ["a", "b", "c"], columns)
+        _write_csv(path, ["a", "b", "c"], [columns])
     assert path.read_bytes() == _per_value_csv(["a", "b", "c"], columns)
 
 
@@ -847,7 +922,7 @@ _MISROUNDED_BY_A_NARROW_BOUND = [
 
 def test_integral_doubles_print_as_their_digits():
     # spectrum's level index n <= 10**6 is written as a double
-    csv = b"".join(cli._csv_blocks([np.array([1.0, 999999.0, 1e6])]))
+    csv = b"".join(cli._csv_blocks([[np.array([1.0, 999999.0, 1e6])]], 1))
     assert csv == b"1\n999999\n1000000\n"
 
 

@@ -170,7 +170,7 @@ def test_csv_block_is_the_per_value_format(patterns, floats, integers, n_columns
     table = np.array(values[: rows * n_columns]).reshape(rows, n_columns)
     lines = [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
     expected = "".join(line + "\n" for line in lines).encode()
-    assert b"".join(_csv_blocks(list(table.T))) == expected
+    assert b"".join(_csv_blocks([list(table.T)], n_columns)) == expected
 
 
 _COMMANDS = ("spectrum", "equilibrium", "thermal", "dynamics", "sweep")
