@@ -7,10 +7,10 @@ Commands
     dynamics     breathing-mode trajectory about the strained equilibrium
     sweep        equilibrium solutions over a stiffness grid
 
-The system is given either directly in reduced units (--K, --mu) or in SI
-(--particle-mass, --box-size, --spring-stiffness, --wall-mass); the two
-parameterizations are mutually exclusive.  A flat ``key = value`` config
-file can supply any flag's value; explicit flags win.  Series go to CSV,
+The system is given either in reduced units (--K, --mu) or in SI
+(--particle-mass, --box-size, --spring-stiffness, --wall-mass), not both.
+argv is read against the flag table ``_FLAGS``; a flat ``key = value`` config
+file can supply any flag's value, and explicit flags win.  Series go to CSV,
 one summary JSON is written per run, and identical scenarios produce
 byte-identical files: CSV values and the JSON's ``argv`` echo print as
 ``%.17g``, other JSON numbers as Python's shortest ``repr``.  The echo
@@ -40,7 +40,6 @@ otherwise sweep numpy's tens of thousands of objects for nothing, about a
 tenth of a short run.  A closed stdout is one error line and exit 1.
 """
 
-import argparse
 import functools
 import gc
 import json
@@ -200,7 +199,7 @@ def _range_points(grid: _Range) -> np.ndarray:
         return values
 
     bound = stop + 0.5 * step
-    n = int(_range_steps(grid)) + 2
+    n = int(_range_steps(grid) + 0.5) + 2
     while True:
         with np.errstate(over="ignore"):
             points = line(n, start, step)
@@ -329,21 +328,33 @@ _FLAGS = {
 # scenario assembly
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # raise instead of sys.exit(2)
-        raise UsageError(message)
-
-
-def _build_parser(command: str, names) -> _Parser:
-    parser = _Parser(prog=f"zpbox {command}", add_help=True, allow_abbrev=False)
-    parser.add_argument("--config", default=None, help="flat key = value file")
-    for name in names:
-        flag = _FLAGS[name]
-        text = flag.help
-        if flag.default is not None:
-            text += f" (default {flag.format(flag.default)})"
-        parser.add_argument(f"--{name}", dest=flag.field, help=text)
-    return parser
+def _read_argv(command: str, words, names) -> dict[str, str]:
+    """{name: value text} of the flags among ``names`` and ``config`` that
+    ``words`` give, as ``--name value`` or ``--name=value``, the last one winning;
+    a value may start with "-" ("-1e-3") but not "--".  Other words are reported
+    together at the end; ``-h`` or ``--help`` prints each flag's help, exits 0."""
+    given, unknown, words = {}, [], iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(f"usage: zpbox {command} [--flag value ...]")
+            print(f"  --{'config':18}flat key = value file")
+            for name in names:
+                flag = _FLAGS[name]
+                text = flag.help
+                if flag.default is not None:
+                    text += f" (default {flag.format(flag.default)})"
+                print(f"  --{name:18}{text}")
+            raise SystemExit(0)
+        name, sep, value = word[2:].partition("=")
+        if word[:2] != "--" or name not in names and name != "config":
+            unknown.append(word)
+        elif not sep and (value := next(words, "--"))[:2] == "--":  # or none left
+            raise UsageError(f"argument --{name}: expected one argument")
+        else:
+            given[name] = value
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return given
 
 
 def _parse_config_text(text: str, names) -> dict[str, str]:
@@ -379,31 +390,21 @@ def parse_scenario(argv, config_text: str | None = None) -> Scenario:
     if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}; {expected}")
     names = (*_COMMANDS[command].flags, "out", "formats")
-    # each flag takes one value, even one argparse reads as an option: "-1e-3"
-    options = {f"--{name}" for name in (*names, "config")}
-    args = []
-    for word in argv[1:]:
-        if args and args[-1] in options and word[:1] == "-" and word[:2] != "--":
-            word = f"{args.pop()}={word}"
-        args.append(word)
-    ns = _build_parser(command, names).parse_args(args)
-
-    if ns.config is not None and config_text is None:
-        path = Path(ns.config)
-        if not path.is_file():
-            raise UsageError(f"config file {ns.config!r} not found")
+    given = _read_argv(command, argv[1:], names)
+    path = given.get("config")
+    if path is not None and config_text is None:
+        if not Path(path).is_file():
+            raise UsageError(f"config file {path!r} not found")
         try:
-            config_text = path.read_text(encoding="utf-8")
+            config_text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError:
-            raise UsageError(f"config file {ns.config!r} is not UTF-8 text") from None
+            raise UsageError(f"config file {path!r} is not UTF-8 text") from None
     config = _parse_config_text(config_text, names) if config_text else {}
 
     fields = {}
     for name in names:
         flag = _FLAGS[name]
-        text = getattr(ns, flag.field)
-        if text is None:
-            text = config.get(name)
+        text = given.get(name, config.get(name))
         try:
             fields[flag.field] = flag.default if text is None else flag.parse(text)
         except UsageError as exc:

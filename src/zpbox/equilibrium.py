@@ -252,27 +252,19 @@ def minimize_oracle(K: float) -> float:
     of total_energy over [0, y_max], with no float pre-scan.  E is strictly
     convex on y > -1 (E'' = 6/(1+y)^4 + K > 0) and falls at 0 (E'(0) = -2);
     K y* (1 + y*)^3 = 2 gives y* < 2/K and y* < (2/K)^(1/4), so y_max, twice
-    the smaller bound, brackets the one minimum for every K.  Energies are
-    compared exactly, as cross-multiplied integer ratios, because in double
-    precision the well is numerically flat near the minimum.
+    the smaller bound, brackets the one minimum for every K.  Each step keeps
+    the minimum inside the bracket [a, b] (Brent 1973, ch. 5); the search
+    stops once b - a <= _GOLDEN_TOL * b, or earlier where the abscissae
+    reach float resolution.
+
+    Energies are compared exactly, because in double precision the well is
+    numerically flat near the minimum: with y = p/q and K = m/k, E(y) =
+    (2k q^4 + m p^2 (p+q)^2) / (2k q^2 (p+q)^2), carried as an unreduced
+    (numerator, denominator) pair of ints with a positive denominator, and
+    fc < fd is decided as n_c d_d < n_d d_c.
     """
     K = check_positive(K, "stiffness K")
-    y_max = 2.0 * min(2.0 / K, _FOURTH_ROOT_OF_2 / math.sqrt(math.sqrt(K)))
-    return _golden_section(K, 0.0, y_max)
-
-
-def _golden_section(K: float, a: float, b: float) -> float:
-    """Golden-section search on [a, b] over float abscissae, exact energies.
-
-    E is unimodal on the bracket, so each step keeps the minimum inside it
-    (Brent 1973, ch. 5).  Stops once b - a <= _GOLDEN_TOL * b, or earlier
-    where the abscissae reach float resolution.
-
-    Energies are compared exactly, as cross-multiplied integer ratios: with
-    y = p/q and K = m/k, E(y) = (2k q^4 + m p^2 (p+q)^2) / (2k q^2 (p+q)^2),
-    carried as an unreduced (numerator, denominator) pair of ints with a
-    positive denominator, and fc < fd is decided as n_c d_d < n_d d_c.
-    """
+    a, b = 0.0, 2.0 * min(2.0 / K, _FOURTH_ROOT_OF_2 / math.sqrt(math.sqrt(K)))
     m, k = K.as_integer_ratio()
     two_k = 2 * k
 

@@ -68,12 +68,11 @@ def _states(t, ell):
         n_max = np.maximum(n_max, _MIN_LEVELS)
         n = np.arange(1.0, n_max[n_max <= MAX_LEVEL].max(initial=_MIN_LEVELS) + 1.0)
         m = (n * n - 1.0)[:, None]
-        order = "F" if len(m) > len(t) else "C"  # memory along the longer axis
-        sums = np.empty((len(m), 3, len(t)), order=order)  # w, m w, m^2 w
+        sums = np.empty((len(m), 3, len(t)), order="F")  # w, m w, m^2 w
         # where exp(-3/t_scaled) underflows, every excited weight does as well
-        weights = np.exp(np.divide(-m, t_scaled, order=order), out=sums[:, 0])
+        weights = np.exp(np.divide(-m, t_scaled, order="F"), out=sums[:, 0])
         weights[0] = 1.0  # 0/0 at t = 0
-        weights *= np.less_equal(n[:, None], n_max, order=order)
+        weights *= np.less_equal(n[:, None], n_max, order="F")
         np.multiply(weights, m, out=sums[:, 1])
         np.multiply(sums[:, 1], m, out=sums[:, 2])
         z, m1, m2 = _sum_levels(sums)

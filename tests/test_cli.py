@@ -111,11 +111,30 @@ def test_grid_endpoint_inclusion_within_half_step():
         ["equilibrium", "--K", "inf"],  # a number, but not finite
         ["equilibrium", "--K", "nan"],
         ["equilibrium", "--K", "2", "--formats", ","],  # names no format
+        ["equilibrium", "--K"],  # a flag without its value
+        ["equilibrium", "2"],  # a word that is no flag
+        ["equilibrium", "-K", "2"],  # one dash is no flag
+        ["equilibrium", "--K", "2", "--"],
     ],
 )
 def test_usage_errors(argv):
     with pytest.raises(UsageError):
         parse_scenario(argv)
+
+
+def test_flag_value_after_an_equals_sign_and_the_last_repeat_wins():
+    assert parse_scenario(["equilibrium", "--K=2"]).K == 2.0
+    assert parse_scenario(["equilibrium", "--K=1", "--K", "3"]).K == 3.0
+    assert parse_scenario(["spectrum", "--ell", "2", "--ell=-1e-3", "--ell=4"]).ell == 4
+    with pytest.raises(UsageError, match="--out: expected one argument"):
+        parse_scenario(["equilibrium", "--K", "2", "--out"])
+
+
+def test_unknown_words_are_reported_together_in_one_line(capsys):
+    assert main(["equilibrium", "--K", "2", "--bogus", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "zpbox: error: unrecognized arguments: --bogus 1\n"
+    assert captured.out == ""
 
 
 def test_word_after_a_flag_is_its_value_even_with_a_leading_minus():
@@ -452,6 +471,18 @@ def test_help_lists_exactly_the_flags_of_the_command(capsys, command, flags):
     assert exc.value.code == 0
     listed = re.findall(r"^ +(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
     assert listed == ["--config", *flags, "--out", "--formats"]
+
+
+def test_long_help_is_the_short_help_and_shows_each_default(capsys):
+    texts = []
+    for word in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--ell", "2", word, "--bogus"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    (line,) = [t for t in texts[0].splitlines() if t.split()[:1] == ["--n-max"]]
+    assert line.endswith(" (default 10)")
 
 
 def test_si_parameterization_reports_scales(tmp_path):
@@ -1081,6 +1112,13 @@ _NEEDS_PROC = pytest.mark.skipif(
             {},
             id="submodule-is-an-attribute",
         ),
+        pytest.param(
+            "import zpbox.cli",
+            "'argparse' in sys.modules",
+            "False",
+            {},
+            id="cli-reads-argv-without-argparse",
+        ),
     ],
 )
 def test_import_leaves_scipy_and_mpmath_unloaded(statement, probe, expected, env):
@@ -1320,6 +1358,23 @@ def test_range_grid_is_kept_as_a_range_and_echoed_as_one(text, points):
         assert range_grid_loop(grid.start, grid.stop, grid.step) == points
     echo = cli._format_grid(grid)
     assert echo.count(":") == 2 and _parse_grid(echo) == grid
+
+
+@pytest.mark.parametrize("text", ["0:50:0.3", "1:1000000.6:1", "0:11:3"])
+def test_range_grid_is_built_in_one_pass(monkeypatch, text):
+    # (stop - start)/step has a fractional part of 1/2 or more, so a first
+    # pass one point longer than its whole part would keep every point
+    arange, lengths = np.arange, []
+
+    def spy(n, *args, **kwargs):
+        lengths.append(n)
+        return arange(n, *args, **kwargs)
+
+    grid = _parse_grid(text)
+    monkeypatch.setattr(np, "arange", spy)
+    points = _grid_points(grid)
+    assert len(lengths) == 1
+    assert points[-1] <= grid.stop + 0.5 * grid.step < points[-1] + grid.step
 
 
 def test_range_grid_past_the_float_range_is_a_usage_error(tmp_path, capsys):
