@@ -34,7 +34,6 @@ _EXPORTS = {
         "BOLTZMANN_KB",
         "DEFAULT_MASS_RATIO",
         "PLANCK_H",
-        "PhysicalInput",
         "ReducedSystem",
         "check_positive",
         "to_reduced",

@@ -49,8 +49,8 @@ import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 # must precede numpy's import: OpenBLAS sizes its thread pool as it loads
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -64,21 +64,28 @@ from . import spectrum as spec
 from . import thermal as therm
 from .errors import AnalysisError, UsageError, ValidationError, ZpboxError
 
-@dataclass(frozen=True)
-class _Range:
+class _Range(NamedTuple):
     """A ``start:stop:step`` grid, kept as its three parsed floats.
 
     It is echoed as ``a:b:c`` in ``%.17g`` parts, which parse back to the
-    same floats and so build the same points (``_range_points``).
+    same floats and so build the same points (``_range_points``).  It equals
+    only another range, never the comma list of the same three numbers.
     """
 
     start: float
     stop: float
     step: float
 
+    def __eq__(self, other):
+        return type(other) is _Range and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class Scenario:
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Scenario(NamedTuple):
     """Fully resolved run description; round-trips through to_argv()."""
 
     command: str
@@ -108,8 +115,7 @@ class Scenario:
         return argv
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Outcome of one run: echoed scenario, headline numbers, file manifest."""
 
     command: str
@@ -244,8 +250,7 @@ def _format_grid(grid) -> str:
 # the flags
 
 
-@dataclass(frozen=True)
-class _Flag:
+class _Flag(NamedTuple):
     """One command-line flag, which is also a config-file key."""
 
     field: str  # the Scenario field it sets
@@ -312,13 +317,17 @@ _FLAGS = {
         "n_periods", *_INT, 10, "number of small-oscillation periods to integrate"
     ),
     "out": _Flag(
-        "out_dir", str, str, Scenario.out_dir, "output directory (created on demand)"
+        "out_dir",
+        str,
+        str,
+        Scenario._field_defaults["out_dir"],
+        "output directory (created on demand)",
     ),
     "formats": _Flag(
         "formats",
         _parse_formats,
         ",".join,
-        Scenario.formats,
+        Scenario._field_defaults["formats"],
         "comma list of outputs to write: csv,json",
     ),
 }
@@ -471,7 +480,7 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
     """Return (K, mu, SI scales dict or None) for a scenario."""
     if s.particle_mass is not None:
         si = (s.particle_mass, s.box_size, s.spring_stiffness, s.wall_mass)
-        reduced = model.to_reduced(model.PhysicalInput(*si))
+        reduced = model.to_reduced(*si)
         scales = {
             "energy_scale_J": reduced.energy_scale,
             "length_scale_m": reduced.length_scale,
@@ -806,7 +815,7 @@ def _spectrum(s: Scenario, K, mu):
 
 
 def _equilibrium(s: Scenario, K, mu):
-    sol = asdict(eq.solve_equilibrium(K))
+    sol = eq.solve_equilibrium(K)._asdict()
     return _renamed(sol, drop=("K",), effective_stiffness="K_prime"), None
 
 
@@ -871,8 +880,7 @@ def _sweep(s: Scenario, K, mu):
     return {"n_points": len(k_grid), **ends}, (header, blocks)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One command: the flags it takes and the work it does."""
 
     flags: tuple[str, ...]  # besides --out and --formats, in _FLAGS order
@@ -946,7 +954,7 @@ def run(scenario: Scenario) -> RunSummary:
             temporary.unlink(missing_ok=True)
         raise
 
-    return replace(summary, duration_s=time.perf_counter() - start)
+    return summary._replace(duration_s=time.perf_counter() - start)
 
 
 def main(argv: list[str] | None = None) -> int:

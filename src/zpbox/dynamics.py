@@ -15,7 +15,7 @@ Python kernel over preallocated output arrays.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .model import check_positive
 STEPS_PER_PERIOD = 1000
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled time series of a breathing-mode integration (reduced units)."""
 
     times: np.ndarray

@@ -24,7 +24,7 @@ by the array functions, ``check_grid`` and ``equilibria``.
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
 from .model import check_positive
@@ -58,8 +58,7 @@ def check_grid(grid, name: str, positive: bool = False):
     return values
 
 
-@dataclass(frozen=True)
-class StrainSolution:
+class StrainSolution(NamedTuple):
     """Equilibrium of the particle + spring system at stiffness K.
 
     ``strain`` is held separately from ``ell`` (= 1 + strain) because at
@@ -193,7 +192,7 @@ def solve_equilibrium(K: float) -> StrainSolution:
     the result.
     """
     K = check_positive(K, "stiffness K")
-    return StrainSolution(K=K, **_fields(K))
+    return StrainSolution(K=K, **_solution(K))
 
 
 def equilibria(K_grid) -> dict:
@@ -201,10 +200,10 @@ def equilibria(K_grid) -> dict:
     columns, ``K`` and the other StrainSolution fields: the same arithmetic
     run elementwise, so each element equals its own solve bit for bit."""
     K = check_grid(K_grid, "stiffness grid", positive=True)
-    return {"K": K, **_fields(K)}
+    return {"K": K, **_solution(K)}
 
 
-def _fields(K):
+def _solution(K):
     """The StrainSolution fields but K, for a float or elementwise for an array."""
     s = _solve_strain(K)
     ell = 1.0 + s
@@ -239,9 +238,7 @@ def perturbed_energy(sol: StrainSolution, eta: float) -> float:
             f"|eta| = {abs(eta)!r} must stay below the strain {sol.strain!r}"
         )
     y = sol.strain + eta
-    size = sol.ell + eta
-    if not size > 0.0:
-        raise DomainError(f"box collapse: ell + eta = {size} must stay positive")
+    size = sol.ell + eta  # > 0: ell = fl(1 + strain) >= strain > -eta
     return 1.0 / (size * size) + 0.5 * sol.K * y * y
 
 

@@ -19,7 +19,7 @@ Constants are CODATA-2018 (both are exact by SI definition).
 """
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -41,29 +41,7 @@ def check_positive(value, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PhysicalInput:
-    """SI description of the system: particle, box, restoring spring, wall.
-
-    ``wall_mass`` may be omitted (None); the wall/particle mass ratio mu is
-    then ``DEFAULT_MASS_RATIO``, 1000 exactly.
-    """
-
-    particle_mass: float  # kg
-    box_size: float  # m
-    spring_stiffness: float  # N / m
-    wall_mass: float | None = None  # kg
-
-    def __post_init__(self):
-        check_positive(self.particle_mass, "particle_mass")
-        check_positive(self.box_size, "box_size")
-        check_positive(self.spring_stiffness, "spring_stiffness")
-        if self.wall_mass is not None:
-            check_positive(self.wall_mass, "wall_mass")
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     """Dimensionless system parameters plus the scales to convert back to SI."""
 
     K: float  # spring stiffness, units eps0 / d^2
@@ -72,10 +50,6 @@ class ReducedSystem:
     length_scale: float  # d in meters
     time_scale: float  # d * sqrt(m / eps0) in seconds
     temperature_scale: float  # T0 = eps0 / k_B in kelvin
-
-    def __post_init__(self):
-        for field in fields(self):
-            check_positive(getattr(self, field.name), field.name)
 
     @property
     def force_scale(self) -> float:
@@ -88,31 +62,39 @@ class ReducedSystem:
         return self.energy_scale / self.length_scale**2
 
 
-def to_reduced(inp: PhysicalInput) -> ReducedSystem:
+def to_reduced(
+    particle_mass, box_size, spring_stiffness, wall_mass=None
+) -> ReducedSystem:
     """Convert an SI description into the internal dimensionless system.
 
     Args:
-        inp: validated SI parameters.
+        particle_mass: kg.
+        box_size: the unstrained size d, m.
+        spring_stiffness: N / m.
+        wall_mass: kg, or None for the mass ratio ``DEFAULT_MASS_RATIO``,
+            1000 exactly.
 
     Returns:
         ReducedSystem with K = k d^2 / eps0, mu = wall_mass / particle_mass
-        (``DEFAULT_MASS_RATIO`` without a wall mass) and all conversion scales.
+        and all conversion scales.  Each argument, and each result field,
+        must be positive and finite (ValidationError led by its name).
     """
-    m = inp.particle_mass
-    d = inp.box_size
+    m = check_positive(particle_mass, "particle_mass")
+    d = check_positive(box_size, "box_size")
+    k = check_positive(spring_stiffness, "spring_stiffness")
+    mu = DEFAULT_MASS_RATIO
+    if wall_mass is not None:
+        mu = check_positive(wall_mass, "wall_mass") / m
     try:
         eps0 = PLANCK_H**2 / (8.0 * m * d**2)
-        K = inp.spring_stiffness * d**2 / eps0
+        K = k * d**2 / eps0
     except (ZeroDivisionError, OverflowError):
         raise ValidationError(
             f"eps0 = h^2/(8 m d^2) leaves the float range at m={m!r}, d={d!r}"
         ) from None
-    return ReducedSystem(
-        K=K,
-        mu=DEFAULT_MASS_RATIO if inp.wall_mass is None else inp.wall_mass / m,
-        energy_scale=eps0,
-        length_scale=d,
-        time_scale=d * math.sqrt(m / eps0),
-        temperature_scale=eps0 / BOLTZMANN_KB,
+    system = ReducedSystem(
+        K, mu, eps0, d, d * math.sqrt(m / eps0), eps0 / BOLTZMANN_KB
     )
-
+    for name, value in zip(system._fields, system):
+        check_positive(value, name)
+    return system

@@ -23,7 +23,7 @@ box, so the coefficient is never negative here.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ _MIN_LEVELS = 4
 _BLOCK_CELLS = 1 << 14  # level x point cells per block: memory not set by the grid
 
 
-@dataclass(frozen=True)
-class ThermalPoint:
+class ThermalPoint(NamedTuple):
     """Self-consistent state of the box at one temperature."""
 
     t: float  # temperature, units T0

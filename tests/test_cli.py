@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import gc
 import json
 import math
@@ -185,6 +184,15 @@ def test_config_rejects_unknown_and_duplicate_keys():
     with pytest.raises(UsageError):
         # t-grid is not a spectrum option, so it is unknown there
         parse_scenario(["spectrum"], config_text="t-grid = 0:1:0.5\n")
+
+
+def test_config_skips_blank_and_comment_lines_and_counts_them():
+    config = "# a run\n\nK = 2\n    # indented\n\t\nout = cfgdir  # trailing\n"
+    s = parse_scenario(["dynamics"], config_text=config)
+    assert s.K == 2.0 and s.out_dir == "cfgdir"
+    with pytest.raises(UsageError) as info:
+        parse_scenario(["dynamics"], config_text=config + "n-periods 3\n")
+    assert str(info.value) == "config line 7: expected key = value"
 
 
 def test_config_file_is_read_from_disk(tmp_path):
@@ -1119,6 +1127,24 @@ _NEEDS_PROC = pytest.mark.skipif(
             {},
             id="cli-reads-argv-without-argparse",
         ),
+        # records are named tuples: no dataclasses, and so no inspect
+        pytest.param(
+            "import zpbox.cli",
+            "'dataclasses' in sys.modules",
+            "False",
+            {},
+            id="cli-loads-no-dataclasses",
+        ),
+        pytest.param(
+            "import zpbox; zpbox.count_nodes(7, 1.3); "
+            "zpbox.position_expectation(7, 1.3); zpbox.solve_equilibrium(2.0); "
+            "zpbox.minimize_oracle(2.0); zpbox.total_energy(0.1, 2.0); "
+            "zpbox.energy_level(3, 1.3); zpbox.wall_force(3, 1.3)",
+            "[m for m in ('dataclasses', 'inspect') if m in sys.modules]",
+            "[]",
+            {},
+            id="scalar-calls-load-no-dataclasses-or-inspect",
+        ),
     ],
 )
 def test_import_leaves_scipy_and_mpmath_unloaded(statement, probe, expected, env):
@@ -1305,10 +1331,20 @@ def test_cli_uses_no_private_name_of_another_zpbox_module():
     assert forks == []
 
 
+def test_a_range_never_equals_the_comma_list_of_its_numbers():
+    as_range = parse_scenario(["thermal", "--K", "2", "--t-grid", "1:2:3"])
+    as_list = parse_scenario(["thermal", "--K", "2", "--t-grid", "1,2,3"])
+    assert as_range != as_list
+    assert not as_range == as_list
+    assert _Range(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
+    assert (1.0, 2.0, 3.0) != _Range(1.0, 2.0, 3.0)
+    assert as_range.t_grid == _Range(1.0, 2.0, 3.0)
+
+
 def test_every_scenario_field_has_exactly_one_flag():
     from zpbox.cli import _FLAGS
 
-    fields = [f.name for f in dataclasses.fields(Scenario) if f.name != "command"]
+    fields = [name for name in Scenario._fields if name != "command"]
     assert sorted(flag.field for flag in _FLAGS.values()) == sorted(fields)
 
 

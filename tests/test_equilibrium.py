@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -216,7 +215,7 @@ def test_strain_matches_bisection_oracle_over_the_float_range():
     assert not failures, failures[:5]
     # one equilibria call over the same K gives every field bit for bit
     columns = equilibria([sol.K for sol in solutions])
-    assert sorted(columns) == sorted(f.name for f in dataclasses.fields(sol))
+    assert sorted(columns) == sorted(sol._fields)
     for name, column in columns.items():
         assert column.tolist() == [getattr(sol, name) for sol in solutions], name
 

@@ -6,7 +6,6 @@ import pytest
 from zpbox import (
     BOLTZMANN_KB,
     PLANCK_H,
-    PhysicalInput,
     ValidationError,
     check_grid,
     check_level,
@@ -22,58 +21,57 @@ NANOMETER = 1e-9
 def test_unit_stiffness_by_construction():
     # pick k equal to eps0/d^2 so that K comes out as 1
     eps0 = PLANCK_H**2 / (8.0 * ELECTRON_MASS * NANOMETER**2)
-    sys = to_reduced(
-        PhysicalInput(ELECTRON_MASS, NANOMETER, spring_stiffness=eps0 / NANOMETER**2)
-    )
+    sys = to_reduced(ELECTRON_MASS, NANOMETER, spring_stiffness=eps0 / NANOMETER**2)
     assert sys.K == pytest.approx(1.0, rel=1e-14)
 
 
 def test_doubling_box_size_scales_K_by_16():
     k = 0.05
-    small = to_reduced(PhysicalInput(ELECTRON_MASS, NANOMETER, k))
-    large = to_reduced(PhysicalInput(ELECTRON_MASS, 2 * NANOMETER, k))
+    small = to_reduced(ELECTRON_MASS, NANOMETER, k)
+    large = to_reduced(ELECTRON_MASS, 2 * NANOMETER, k)
     assert large.K / small.K == pytest.approx(16.0, rel=1e-12)
 
 
 def test_electron_energy_scale_matches_hand_computation():
     # direct arithmetic with the CODATA Planck constant
     expected = 6.62607015e-34**2 / (8.0 * 9.109e-31 * 1e-9**2)
-    sys = to_reduced(PhysicalInput(ELECTRON_MASS, NANOMETER, 1.0))
+    sys = to_reduced(ELECTRON_MASS, NANOMETER, 1.0)
     assert sys.energy_scale == pytest.approx(expected, rel=1e-14)
     assert sys.energy_scale == pytest.approx(6.024921181348256e-20, rel=1e-12)
     assert sys.temperature_scale == pytest.approx(expected / BOLTZMANN_KB, rel=1e-14)
 
 
 def test_round_trip_si_reduced_si():
-    inp = PhysicalInput(
+    inp = dict(
         particle_mass=6.64e-27,  # helium-ish
         box_size=3.6e-10,
         spring_stiffness=1.3,
         wall_mass=2.0e-25,
     )
-    sys = to_reduced(inp)
+    sys = to_reduced(**inp)
     # a reduced value times its scale is its SI value
     assert sys.K * sys.stiffness_scale == pytest.approx(
-        inp.spring_stiffness, rel=1e-12
+        inp["spring_stiffness"], rel=1e-12
     )
-    assert sys.length_scale == inp.box_size
-    assert sys.mu * inp.particle_mass == pytest.approx(inp.wall_mass, rel=1e-12)
-    assert sys.energy_scale == PLANCK_H**2 / (8.0 * inp.particle_mass * inp.box_size**2)
+    assert sys.length_scale == inp["box_size"]
+    assert sys.mu * inp["particle_mass"] == pytest.approx(inp["wall_mass"], rel=1e-12)
+    assert sys.energy_scale == PLANCK_H**2 / (
+        8.0 * inp["particle_mass"] * inp["box_size"] ** 2
+    )
     assert sys.energy_scale / BOLTZMANN_KB == sys.temperature_scale
     assert sys.time_scale == pytest.approx(
-        inp.box_size * math.sqrt(inp.particle_mass / sys.energy_scale), rel=1e-12
+        inp["box_size"] * math.sqrt(inp["particle_mass"] / sys.energy_scale),
+        rel=1e-12,
     )
     assert sys.force_scale == pytest.approx(
-        sys.energy_scale / inp.box_size, rel=1e-12
+        sys.energy_scale / inp["box_size"], rel=1e-12
     )
 
 
 def test_wall_mass_defaults_to_heavy_wall():
     # CODATA electron and proton masses, where 1000 m / m is 999.9999999999999
     for mass in (ELECTRON_MASS, 9.1093837015e-31, 1.67262192369e-27):
-        inp = PhysicalInput(mass, NANOMETER, 1.0)
-        assert inp.wall_mass is None
-        assert to_reduced(inp).mu == 1000.0
+        assert to_reduced(mass, NANOMETER, 1.0).mu == 1000.0
 
 
 @pytest.mark.parametrize(
@@ -100,7 +98,7 @@ def test_wall_mass_defaults_to_heavy_wall():
 )
 def test_invalid_inputs_name_the_field(field, kwargs):
     with pytest.raises(ValidationError, match=field):
-        PhysicalInput(**kwargs)
+        to_reduced(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -110,11 +108,9 @@ def test_invalid_inputs_name_the_field(field, kwargs):
 def test_K_invariant_under_compensated_rescaling(mass_factor, size_factor):
     # K = 8 k m d^4 / h^2 stays fixed when k absorbs the m d^4 rescaling
     k0 = 0.7
-    base = to_reduced(PhysicalInput(ELECTRON_MASS, NANOMETER, k0))
+    base = to_reduced(ELECTRON_MASS, NANOMETER, k0)
     k1 = k0 / (mass_factor * size_factor**4)
-    scaled = to_reduced(
-        PhysicalInput(ELECTRON_MASS * mass_factor, NANOMETER * size_factor, k1)
-    )
+    scaled = to_reduced(ELECTRON_MASS * mass_factor, NANOMETER * size_factor, k1)
     assert scaled.K == pytest.approx(base.K, rel=1e-12)
 
 
@@ -123,7 +119,7 @@ def test_K_invariant_under_compensated_rescaling(mass_factor, size_factor):
 )
 def test_eps0_outside_the_float_range_is_a_validation_error(mass, size):
     with pytest.raises(ValidationError, match="eps0"):
-        to_reduced(PhysicalInput(mass, size, 1.0))
+        to_reduced(mass, size, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from zpbox import (
     UsageError,
     ValidationError,
     minimize_oracle,
+    perturbed_energy,
     solve_equilibrium,
     thermal_blocks,
     time_step,
@@ -36,6 +37,21 @@ finite_floats = st.floats(allow_infinity=False, allow_nan=False)
 @given(K=positive_floats)
 def test_minimize_oracle_equals_the_fraction_golden_section(K):
     assert minimize_oracle(K) == golden_section_fraction(K)
+
+
+@given(
+    K=st.floats(-323.0, 308.0).map(lambda e: 10.0**e).filter(lambda K: K > 0.0),
+    fraction=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(K=5e-324, fraction=-0.9999999999999999)
+@example(K=1e308, fraction=-0.9999999999999999)
+def test_perturbed_energy_is_finite_across_the_strain_window(K, fraction):
+    # ell = fl(1 + strain) >= strain > -eta, so the box never collapses
+    sol = solve_equilibrium(K)
+    eta = fraction * sol.strain
+    assume(abs(eta) < sol.strain)
+    assert sol.ell + eta > 0.0
+    assert math.isfinite(perturbed_energy(sol, eta))
 
 
 @given(K=positive_floats, mu=positive_floats, steps_per_period=st.floats())

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -270,7 +269,7 @@ def test_sweep_rows_equal_single_point_solves_bit_for_bit(K, monkeypatch):
         ]
 
     grid = np.linspace(0.0, 50.0, 41).tolist()
-    expected = [dataclasses.astuple(equilibrium_size_at_t(K, t)) for t in grid]
+    expected = [tuple(equilibrium_size_at_t(K, t)) for t in grid]
     assert repr(points(grid)) == repr(expected)  # repr: nan equals nan
     assert repr(points(grid[1::3])) == repr(expected[1::3])
     assert repr(points(grid[40:])) == repr(expected[40:])
