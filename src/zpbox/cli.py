@@ -13,13 +13,15 @@ argv is read against the flag table ``_FLAGS``; a flat ``key = value`` config
 file can supply any flag's value, and explicit flags win.  Series go to CSV,
 one summary JSON is written per run, and identical scenarios produce
 byte-identical files: CSV values and the JSON's ``argv`` echo print as
-``%.17g``, other JSON numbers as Python's shortest ``repr``.  The echo
-gives a ``start:stop:step`` grid as its three numbers, a comma list in full.
+``%.17g``, other JSON numbers as Python's shortest ``repr``.  A
+``start:stop:step`` grid is held as a ``slice`` of its three floats and
+echoed as them, a comma list in full.
 
 Only the library's public API is used: the tables are the columns of
-``level_table``, ``thermal_blocks`` and ``equilibria`` under CSV names, and
-flags are checked by library validators led by the flag (``check_grid``,
-``check_size``, ``check_level``, ``check_positive``; ``time_step`` in dynamics).
+``level_table``, ``thermal_blocks``, ``integrate`` and ``equilibria`` under
+CSV names, and flags are checked by library validators led by the flag
+(``check_grid``, which reads a grid point of -0 as +0, ``check_size``,
+``check_level``, ``check_positive``; ``time_step`` in dynamics).
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Usage errors
 are raised before any file is opened, and each output is written under a
@@ -64,27 +66,6 @@ from . import spectrum as spec
 from . import thermal as therm
 from .errors import AnalysisError, UsageError, ValidationError, ZpboxError
 
-class _Range(NamedTuple):
-    """A ``start:stop:step`` grid, kept as its three parsed floats.
-
-    It is echoed as ``a:b:c`` in ``%.17g`` parts, which parse back to the
-    same floats and so build the same points (``_range_points``).  It equals
-    only another range, never the comma list of the same three numbers.
-    """
-
-    start: float
-    stop: float
-    step: float
-
-    def __eq__(self, other):
-        return type(other) is _Range and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
 class Scenario(NamedTuple):
     """Fully resolved run description; round-trips through to_argv()."""
 
@@ -97,8 +78,8 @@ class Scenario(NamedTuple):
     wall_mass: float | None = None
     ell: float | None = None
     n_max: int | None = None
-    t_grid: _Range | tuple[float, ...] | None = None  # a range or a comma list
-    k_grid: _Range | tuple[float, ...] | None = None
+    t_grid: slice | tuple[float, ...] | None = None  # a range or a comma list
+    k_grid: slice | tuple[float, ...] | None = None
     y0_frac: float | None = None
     dt_factor: float | None = None
     n_periods: int | None = None
@@ -118,7 +99,6 @@ class Scenario(NamedTuple):
 class RunSummary(NamedTuple):
     """Outcome of one run: echoed scenario, headline numbers, file manifest."""
 
-    command: str
     scenario: Scenario
     K: float | None
     mu: float | None
@@ -153,9 +133,11 @@ def _parse_int(text: str) -> int:
         raise UsageError(f"malformed integer {text!r}") from None
 
 
-def _parse_grid(text: str) -> _Range | tuple[float, ...]:
+def _parse_grid(text: str) -> slice | tuple[float, ...]:
     """Grid syntax: ``start:stop:step`` (endpoints inclusive within half a
-    step) or an explicit comma-separated list (one number is a list of one)."""
+    step), kept as ``slice(start, stop, step)``, or an explicit comma list (one
+    number is a list of one).  A range echoes as ``%.17g:%.17g:%.17g``, which
+    parses back to the same floats, and never equals its numbers' comma list."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -166,7 +148,7 @@ def _parse_grid(text: str) -> _Range | tuple[float, ...]:
             raise UsageError(f"grid step must be positive in {text!r}")
         if stop < start:
             raise UsageError(f"grid stop must be >= start in {text!r}")
-        grid = _Range(start, stop, step)
+        grid = slice(start, stop, step)
         if _range_steps(grid) > _MAX_RANGE_STEPS:
             raise UsageError(
                 f"grid {text!r} spans more than {_MAX_RANGE_STEPS} steps"
@@ -175,7 +157,7 @@ def _parse_grid(text: str) -> _Range | tuple[float, ...]:
     return tuple(_parse_float(p) for p in text.split(","))
 
 
-def _range_steps(grid: _Range) -> float:
+def _range_steps(grid: slice) -> float:
     """(stop - start)/step, at half scale where stop - start overflows."""
     span = grid.stop - grid.start
     if math.isinf(span):
@@ -183,7 +165,7 @@ def _range_steps(grid: _Range) -> float:
     return span / grid.step
 
 
-def _range_points(grid: _Range) -> np.ndarray:
+def _range_points(grid: slice) -> np.ndarray:
     """The points ``start + i*step``, i = 0, 1, ..., up to the first that
     lies more than half a step past ``stop``.
 
@@ -221,7 +203,7 @@ def _range_points(grid: _Range) -> np.ndarray:
 
 def _grid_points(grid) -> np.ndarray:
     """A grid's points as one float64 array: a range built, a list as given."""
-    if isinstance(grid, _Range):
+    if isinstance(grid, slice):
         return _range_points(grid)
     return np.array(grid, dtype=float)
 
@@ -241,7 +223,7 @@ def _format_float(value) -> str:
 
 
 def _format_grid(grid) -> str:
-    if isinstance(grid, _Range):
+    if isinstance(grid, slice):
         return "%.17g:%.17g:%.17g" % (grid.start, grid.stop, grid.step)
     return ",".join(["%.17g"] * len(grid)) % tuple(grid)
 
@@ -285,7 +267,8 @@ _FLAGS = {
         "wall_mass",
         *_FLOAT,
         None,
-        "wall mass in kg (SI; defaults to the mass ratio mu = 1000, exactly)",
+        "wall mass in kg (SI; defaults to the mass ratio mu = "
+        f"{model.DEFAULT_MASS_RATIO:g}, exactly)",
     ),
     "mu": _Flag(
         "mu", *_FLOAT, None, "wall/particle mass ratio (reduced parameterization)"
@@ -480,14 +463,8 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
     """Return (K, mu, SI scales dict or None) for a scenario."""
     if s.particle_mass is not None:
         si = (s.particle_mass, s.box_size, s.spring_stiffness, s.wall_mass)
-        reduced = model.to_reduced(*si)
-        scales = {
-            "energy_scale_J": reduced.energy_scale,
-            "length_scale_m": reduced.length_scale,
-            "time_scale_s": reduced.time_scale,
-            "temperature_scale_K": reduced.temperature_scale,
-        }
-        return reduced.K, reduced.mu, scales
+        K, mu, *scales = model.to_reduced(*si)
+        return K, mu, dict(zip(_SCALES, scales))
     if s.mu is None and s.command == "dynamics":  # the default wall mass ratio
         return s.K, model.DEFAULT_MASS_RATIO, None
     return s.K, s.mu, None
@@ -773,19 +750,14 @@ def summary_dict(summary: RunSummary) -> dict:
     scenarios serialize to identical bytes.
     """
     flat = {
-        "command": summary.command,
+        "command": summary.scenario.command,
         "argv": summary.scenario.to_argv(),
         "K": summary.K,
         "mu": summary.mu,
-        "energy_scale_J": None,
-        "length_scale_m": None,
-        "time_scale_s": None,
-        "temperature_scale_K": None,
+        **(summary.scales or dict.fromkeys(_SCALES)),
+        **summary.headline,
+        "outputs": list(summary.outputs),
     }
-    if summary.scales:
-        flat.update(summary.scales)
-    flat.update(summary.headline)
-    flat["outputs"] = list(summary.outputs)
     # every value is a str, a list of them or a Python scalar; JSON has no
     # NaN or infinity, so a float that is not finite is written as null
     return {
@@ -847,15 +819,15 @@ def _dynamics(s: Scenario, K, mu):
         measured = dyn.measured_frequency(traj)
     except AnalysisError:
         measured = math.nan
-    columns = {
-        "t": traj.times,
-        "eta": traj.eta,
-        "v": traj.velocity,
-        "E_particle": traj.particle_energy,
-        "E_strain": traj.strain_energy,
-        "E_kinetic": traj.kinetic_energy,
-        "E_total": traj.total_energy,
-    }
+    columns = _renamed(
+        traj._asdict(),
+        times="t",
+        velocity="v",
+        particle_energy="E_particle",
+        strain_energy="E_strain",
+        kinetic_energy="E_kinetic",
+        total_energy="E_total",
+    )
     headline = {
         "ell": sol.ell,
         "strain": sol.strain,
@@ -888,6 +860,8 @@ class _Command(NamedTuple):
 
 
 _SYSTEM = ("K", "particle-mass", "box-size", "spring-stiffness", "wall-mass")
+# the summary's names of the SI scales, ReducedSystem's last four fields
+_SCALES = ("energy_scale_J", "length_scale_m", "time_scale_s", "temperature_scale_K")
 _COMMANDS = {
     "spectrum": _Command(("ell", "n-max"), _spectrum),
     "equilibrium": _Command(_SYSTEM, _equilibrium),
@@ -923,16 +897,7 @@ def run(scenario: Scenario) -> RunSummary:
         json_path = out_dir / f"{scenario.command}_summary.json"
     outputs = tuple(str(p) for p in (csv_path, json_path) if p is not None)
 
-    summary = RunSummary(
-        command=scenario.command,
-        scenario=scenario,
-        K=K,
-        mu=mu,
-        scales=scales,
-        headline=headline,
-        outputs=outputs,
-        duration_s=0.0,
-    )
+    summary = RunSummary(scenario, K, mu, scales, headline, outputs, duration_s=0.0)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # output path -> a hidden name beside it that no other running process uses
@@ -998,7 +963,7 @@ def _main(argv) -> int:
     except (ZpboxError, OSError) as exc:  # numerical failures, unwritable --out
         print(f"zpbox: error: {exc}", file=sys.stderr)
         return 1
-    print(f"zpbox {summary.command}: ok ({summary.duration_s:.3f} s)")
+    print(f"zpbox {summary.scenario.command}: ok ({summary.duration_s:.3f} s)")
     for key, value in summary.headline.items():
         print(f"  {key} = {value}")
     for path in summary.outputs:

@@ -110,7 +110,10 @@ def time_step(
     mu = check_positive(mu, "wall mass ratio mu")
     name = name or f"mu {mu!r} with steps_per_period {steps_per_period!r}"
     omega = math.sqrt(sol.effective_stiffness / mu)
-    rate = steps_per_period * omega
+    try:
+        rate = steps_per_period * omega
+    except OverflowError:  # an int past the float range: dt would be 0
+        rate = math.inf
     dt = 2.0 * math.pi / rate if rate > 0.0 else math.inf
     if not 0.0 < dt < math.inf:
         raise ValidationError(
@@ -123,7 +126,11 @@ def time_step(
 def verlet_frequency(omega: float, dt: float) -> float:
     """(2/dt) asin(omega dt/2): the angular frequency at which velocity Verlet
     with step dt turns a linear oscillation of frequency omega (Hairer,
-    Lubich & Wanner 2006); above omega, and real only for omega dt <= 2."""
+    Lubich & Wanner 2006); above omega.  ValidationError where omega or dt is
+    not positive and finite, or omega dt >= 2, as in ``time_step``."""
+    omega = check_positive(omega, "angular frequency omega")
+    dt = check_positive(dt, "time step dt")
+    _stable(omega, dt, f"time step dt = {dt!r}")
     return 2.0 / dt * math.asin(omega * dt / 2.0)
 
 
@@ -135,6 +142,17 @@ def _stable(omega: float, dt: float, name: str) -> float:
         f"{name} gives omega*dt = {omega * dt!r} >= 2, past velocity "
         f"Verlet's stability limit (omega = sqrt(K'/mu) = {omega!r})"
     )
+
+
+def _count(value, name: str) -> int:
+    """int(value) if >= 1, else ValidationError led by name (inf and nan too)."""
+    try:
+        count = int(value)
+    except (OverflowError, ValueError):  # inf or nan
+        raise ValidationError(f"{name} must be finite, got {value!r}") from None
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def integrate(
@@ -163,7 +181,8 @@ def integrate(
 
     Raises:
         ValidationError: if mu or dt is not positive and finite, omega*dt >= 2,
-            or v0 is not finite.
+            v0 is not finite, or n_steps or record_every is not finite or
+            below 1.
         NumericalError: if the box collapses mid-run (reports the step) or
             an energy sample overflows the float range.
         ZpboxError: if the sample arrays cannot be allocated.
@@ -182,12 +201,10 @@ def integrate(
     else:
         dt = check_positive(dt, "time step dt")
         _stable(math.sqrt(sol.effective_stiffness / mu), dt, f"time step dt = {dt!r}")
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    record_every = int(record_every)
-    if record_every < 1:
-        raise ValidationError(f"record_every must be >= 1, got {record_every}")
+    n_steps = _count(n_steps, "n_steps")
+    # any stride past n_steps samples steps 0 and n_steps, as n_steps does; the
+    # clamp keeps np.arange, which sizes in float, from dropping a sample
+    record_every = min(_count(record_every, "record_every"), n_steps)
 
     try:
         # sample k is taken after step k * record_every, the last after n_steps

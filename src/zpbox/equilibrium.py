@@ -41,20 +41,23 @@ _FOURTH_ROOT_OF_2 = 2.0**0.25
 
 def check_grid(grid, name: str, positive: bool = False):
     """``grid`` as a float64 array if non-empty, strictly increasing, finite and
-    >= 0 (> 0 if ``positive``); else ValidationError, its message led by name."""
+    >= 0 (> 0 if ``positive``); else ValidationError, its message led by name.
+    A -0.0, which passes ``>= 0``, is returned as +0.0."""
     import numpy as np
 
-    values = np.array(grid, dtype=float)
+    rule = f"{name} must be finite and {'>' if positive else '>='} 0"
+    try:
+        values = np.array(grid, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{rule}, got an int past the float range") from None
     if values.ndim != 1 or len(values) == 0:
         raise ValidationError(f"{name} must be a non-empty sequence")
     bad = ~np.isfinite(values) | (values <= 0.0 if positive else values < 0.0)
     if bad.any():
-        raise ValidationError(
-            f"{name} must be finite and {'>' if positive else '>='} 0, "
-            f"got {values[bad][0].item()!r}"
-        )
+        raise ValidationError(f"{rule}, got {values[bad][0].item()!r}")
     if (values[1:] <= values[:-1]).any():
         raise ValidationError(f"{name} must be strictly increasing")
+    values += 0.0  # -0.0 + 0.0 is +0.0
     return values
 
 

@@ -35,9 +35,13 @@ DEFAULT_MASS_RATIO = 1000.0
 
 def check_positive(value, name: str) -> float:
     """``value`` as a float if positive and finite, else ValidationError led by name."""
-    value = float(value)
+    rule = f"{name} must be positive and finite"
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{rule}, got an int past the float range") from None
     if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+        raise ValidationError(f"{rule}, got {value!r}")
     return value
 
 

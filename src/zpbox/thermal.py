@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .equilibrium import StrainSolution, _bracketed_newton, check_grid, solve_equilibrium
-from .spectrum import MAX_LEVEL, check_size
+from .spectrum import MAX_LEVEL, check_size, wall_force
 
 _TAIL_EXPONENT = 37.0  # discarded occupancy tail < e^-37 ~ 1e-16
 _MIN_LEVELS = 4
@@ -147,8 +147,7 @@ def _solve(seed: StrainSolution, t: np.ndarray) -> ThermalBlock:
     # balance there leaves s0, and the point can be truncated.  K s0 < <F>
     # alone turns on rounding where heat adds under an ulp of force, which
     # let ell(t) step down by two ulps as t grew.
-    ell0 = 1.0 + seed.strain
-    f0 = 2.0 * (1.0 / (ell0 * ell0)) / ell0  # <F> at t = 0, as _states forms it
+    f0 = wall_force(1, seed.ell)  # <F> at t = 0
     hot = (f0 < mean) & (seed.K * seed.strain < mean) & (n_max <= MAX_LEVEL)
     if hot.any():
         t_hot = t[hot]

@@ -29,7 +29,6 @@ from zpbox.cli import (
     Scenario,
     _grid_points,
     _parse_grid,
-    _Range,
     _write_csv,
     main,
     parse_scenario,
@@ -61,7 +60,7 @@ def test_parse_thermal_with_grid(tmp_path):
         ["thermal", "--K", "2", "--t-grid", "0:4:0.1", "--out", str(tmp_path)]
     )
     assert s.command == "thermal"
-    assert s.t_grid == _Range(0.0, 4.0, 0.1)
+    assert s.t_grid == slice(0.0, 4.0, 0.1)
     points = _grid_points(s.t_grid)
     assert len(points) == 41
     assert points[0] == 0.0
@@ -277,6 +276,25 @@ def test_thermal_far_below_the_level_spacing_writes_nothing_to_stderr(tmp_path):
     )
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+def test_a_temperature_of_minus_zero_is_solved_as_zero(tmp_path):
+    # a fresh process, so numpy's warnings reach stderr as they would for a user
+    minus, plus = tmp_path / "minus", tmp_path / "plus"
+    argv = ["thermal", "--K", "2", "--t-grid", "-0"]
+    result = subprocess.run(
+        [sys.executable, "-m", "zpbox.cli", *argv, "--out", str(minus)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert main(["thermal", "--K", "2", "--t-grid", "0", "--out", str(plus)]) == 0
+    csv = (plus / "thermal.csv").read_bytes()
+    assert (minus / "thermal.csv").read_bytes() == csv
+    assert b"nan,nan" not in csv
 
 
 @pytest.mark.parametrize(
@@ -1336,9 +1354,9 @@ def test_a_range_never_equals_the_comma_list_of_its_numbers():
     as_list = parse_scenario(["thermal", "--K", "2", "--t-grid", "1,2,3"])
     assert as_range != as_list
     assert not as_range == as_list
-    assert _Range(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
-    assert (1.0, 2.0, 3.0) != _Range(1.0, 2.0, 3.0)
-    assert as_range.t_grid == _Range(1.0, 2.0, 3.0)
+    assert slice(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
+    assert (1.0, 2.0, 3.0) != slice(1.0, 2.0, 3.0)
+    assert as_range.t_grid == slice(1.0, 2.0, 3.0)
 
 
 def test_every_scenario_field_has_exactly_one_flag():

@@ -192,6 +192,40 @@ def test_integration_is_deterministic(sol2):
 
 # a stride of 1, one that leaves a remainder, one that divides n_steps and
 # one longer than the run
+def test_a_stride_past_the_run_samples_its_first_and_last_steps(sol2):
+    # np.arange(0, 10 + 2**60, 2**60) loses its second element in float
+    far = integrate(sol2, 1e3, 0.0, n_steps=10, record_every=2**60)
+    run = integrate(sol2, 1e3, 0.0, n_steps=10, record_every=10)
+    assert all(np.array_equal(a, b) for a, b in zip(far, run, strict=True))
+    assert len(far.times) == 2
+
+
+@pytest.mark.parametrize("count", ["n_steps", "record_every"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_count_that_is_not_finite_is_a_validation_error(sol2, count, value):
+    with pytest.raises(ValidationError, match=f"^{count} must be finite"):
+        integrate(sol2, 1e3, 0.0, **{"n_steps": 10, count: value})
+
+
+@pytest.mark.parametrize(
+    "omega, dt, message",
+    [
+        (3.0, 1.0, r"time step dt = 1.0 gives omega\*dt = 3.0 >= 2"),
+        (1.0, 2.0, r"time step dt = 2.0 gives omega\*dt = 2.0 >= 2"),
+        (math.nan, 1.0, "angular frequency omega must be positive"),
+        (-1.0, 1.0, "angular frequency omega must be positive"),
+        (0.0, 1.0, "angular frequency omega must be positive"),
+        (math.inf, 1.0, "angular frequency omega must be positive"),
+        (1.0, -1.0, "time step dt must be positive"),
+        (1.0, math.nan, "time step dt must be positive"),
+        (1.0, 0.0, "time step dt must be positive"),
+    ],
+)
+def test_verlet_frequency_rejects_what_has_no_real_frequency(omega, dt, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        verlet_frequency(omega, dt)
+
+
 @pytest.mark.parametrize("record_every", [1, 7, 100, 1000])
 def test_record_stride_subsamples_the_same_path(sol2, record_every):
     full = integrate(sol2, MU, y0=1e-3 * sol2.strain, n_steps=100)

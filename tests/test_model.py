@@ -11,6 +11,11 @@ from zpbox import (
     check_level,
     check_positive,
     check_size,
+    equilibria,
+    integrate,
+    solve_equilibrium,
+    thermal_blocks,
+    time_step,
     to_reduced,
 )
 
@@ -145,3 +150,24 @@ def test_validators_normalise_or_lead_their_message_with_the_name(
     with pytest.raises(ValidationError) as info:
         check(bad, "--flag")
     assert str(info.value).startswith("--flag must ")
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: solve_equilibrium(2**1100), "stiffness K"),
+        (lambda: to_reduced(2**1100, 1e-9, 1.0), "particle_mass"),
+        (lambda: integrate(solve_equilibrium(2.0), 2**1100, 0.0), "wall mass ratio mu"),
+        (lambda: equilibria([2**1100]), "stiffness grid"),
+        (lambda: list(thermal_blocks(2.0, [0.0, 2**1100])), "temperature grid"),
+        (
+            lambda: time_step(solve_equilibrium(2.0), 1e3, steps_per_period=2**1100),
+            "mu 1000.0 with steps_per_period",
+        ),
+    ],
+)
+def test_an_int_past_the_float_range_is_a_validation_error(call, name):
+    # float(2**1100) raises OverflowError
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} ")

@@ -230,6 +230,13 @@ def test_temperature_far_below_the_level_spacing_leaves_the_ground_state(t, ell)
     assert mean_wall_force(t, ell) == wall_force(1, ell)
 
 
+def test_a_temperature_of_minus_zero_is_zero():
+    # -0.0 passes t >= 0; unfolded, 1/(t ell^2) is -inf and the weights NaN
+    assert equilibrium_size_at_t(2.0, -0.0) == equilibrium_size_at_t(2.0, 0.0)
+    assert np.array_equal(occupancies(-0.0), occupancies(0.0))
+    assert mean_wall_force(-0.0) == mean_wall_force(0.0)
+
+
 def test_thermal_sweep_solves_the_zero_temperature_equilibrium_once(monkeypatch):
     import zpbox.thermal
 
