@@ -35,6 +35,8 @@ _EXPORTS = {
         "DEFAULT_MASS_RATIO",
         "PLANCK_H",
         "ReducedSystem",
+        "check_count",
+        "check_finite",
         "check_positive",
         "to_reduced",
     ),

@@ -21,7 +21,7 @@ Only the library's public API is used: the tables are the columns of
 ``level_table``, ``thermal_blocks``, ``integrate`` and ``equilibria`` under
 CSV names, and flags are checked by library validators led by the flag
 (``check_grid``, which reads a grid point of -0 as +0, ``check_size``,
-``check_level``, ``check_positive``; ``time_step`` in dynamics).
+``check_level``, ``check_positive``, ``check_count``; ``time_step``).
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Usage errors
 are raised before any file is opened, and each output is written under a
@@ -445,8 +445,7 @@ def _validate_scenario(s: Scenario) -> None:
             raise UsageError("--y0-frac must lie in [0, 1)")
         if s.mu is not None:
             model.check_positive(s.mu, "--mu")
-        if s.n_periods < 1:
-            raise UsageError("--n-periods must be >= 1")
+        model.check_count(s.n_periods, "--n-periods")
         try:
             finite = math.isfinite(s.n_periods * s.dt_factor)
         except OverflowError:  # n_periods alone exceeds the float range

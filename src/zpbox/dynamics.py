@@ -27,7 +27,7 @@ from .errors import (
     ZpboxError,
 )
 from .equilibrium import StrainSolution
-from .model import check_positive
+from .model import check_count, check_finite, check_positive
 
 #: Time steps per small-oscillation period of the default dt.
 STEPS_PER_PERIOD = 1000
@@ -54,9 +54,7 @@ def restoring_force(y: float, sol: StrainSolution) -> float:
     inf, so the push is 0, far below an ulp of the pull.  A non-finite y is
     a ValidationError; where the pull itself overflows, NumericalError.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValidationError(f"displacement y must be finite, got {y!r}")
+    y = check_finite(y, "displacement y")
     size = sol.ell + y
     if not size > 0.0:
         raise DomainError(f"box collapse: ell + y = {size} must stay positive")
@@ -131,7 +129,10 @@ def verlet_frequency(omega: float, dt: float) -> float:
     omega = check_positive(omega, "angular frequency omega")
     dt = check_positive(dt, "time step dt")
     _stable(omega, dt, f"time step dt = {dt!r}")
-    return 2.0 / dt * math.asin(omega * dt / 2.0)
+    x = omega * dt / 2.0
+    if 2.0 / dt == math.inf:  # a subnormal dt: omega asin(x)/x, and omega at x = 0
+        return omega * (math.asin(x) / x) if x else omega
+    return 2.0 / dt * math.asin(x)
 
 
 def _stable(omega: float, dt: float, name: str) -> float:
@@ -142,17 +143,6 @@ def _stable(omega: float, dt: float, name: str) -> float:
         f"{name} gives omega*dt = {omega * dt!r} >= 2, past velocity "
         f"Verlet's stability limit (omega = sqrt(K'/mu) = {omega!r})"
     )
-
-
-def _count(value, name: str) -> int:
-    """int(value) if >= 1, else ValidationError led by name (inf and nan too)."""
-    try:
-        count = int(value)
-    except (OverflowError, ValueError):  # inf or nan
-        raise ValidationError(f"{name} must be finite, got {value!r}") from None
-    if count < 1:
-        raise ValidationError(f"{name} must be >= 1, got {count}")
-    return count
 
 
 def integrate(
@@ -181,17 +171,15 @@ def integrate(
 
     Raises:
         ValidationError: if mu or dt is not positive and finite, omega*dt >= 2,
-            v0 is not finite, or n_steps or record_every is not finite or
-            below 1.
+            y0 or v0 is not finite, or n_steps or record_every is not an
+            integer >= 1.
         NumericalError: if the box collapses mid-run (reports the step) or
             an energy sample overflows the float range.
         ZpboxError: if the sample arrays cannot be allocated.
     """
     mu = check_positive(mu, "wall mass ratio mu")
-    y0 = float(y0)
-    v0 = float(v0)
-    if not math.isfinite(v0):
-        raise ValidationError(f"initial velocity v0 must be finite, got {v0!r}")
+    y0 = check_finite(y0, "initial displacement y0")
+    v0 = check_finite(v0, "initial velocity v0")
     if not abs(y0) < sol.strain:
         raise DomainError(
             f"|y0| = {abs(y0)!r} must stay below the strain {sol.strain!r}"
@@ -201,10 +189,10 @@ def integrate(
     else:
         dt = check_positive(dt, "time step dt")
         _stable(math.sqrt(sol.effective_stiffness / mu), dt, f"time step dt = {dt!r}")
-    n_steps = _count(n_steps, "n_steps")
+    n_steps = check_count(n_steps, "n_steps")
     # any stride past n_steps samples steps 0 and n_steps, as n_steps does; the
     # clamp keeps np.arange, which sizes in float, from dropping a sample
-    record_every = min(_count(record_every, "record_every"), n_steps)
+    record_every = min(check_count(record_every, "record_every"), n_steps)
 
     try:
         # sample k is taken after step k * record_every, the last after n_steps

@@ -27,7 +27,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
-from .model import check_positive
+from .model import check_finite, check_positive
 from .spectrum import check_level
 
 _GOLDEN_TOL = 1e-12
@@ -83,15 +83,18 @@ def total_energy(y: float, K: float, n: int = 1) -> float:
 
     The particle contributes n^2/(1+y)^2 (it is pinned to level n, by
     default the ground state, n <= spectrum.MAX_LEVEL); the spring
-    contributes (K/2) y^2.
+    contributes (K/2) y^2.  NumericalError where that overflows.
     """
     K = check_positive(K, "stiffness K")
-    y = float(y)
+    y = check_finite(y, "displacement y")
     n = check_level(n, "level n")
     size = 1.0 + y
     if not size > 0.0:
         raise DomainError(f"box collapse: 1 + y = {size} must stay positive")
-    return (n * n) / (size * size) + 0.5 * K * y * y
+    spring = 0.5 * K * y * y
+    if math.isinf(spring):
+        raise NumericalError(f"the spring energy (K/2) y^2 overflows at y = {y!r}")
+    return (n * n) / (size * size) + spring
 
 
 def _where(cond, a, b):
@@ -235,7 +238,7 @@ def perturbed_energy(sol: StrainSolution, eta: float) -> float:
     cancels exactly at equilibrium, which is what lets the particle and
     the spring trade energy at equal and opposite linear rates.
     """
-    eta = float(eta)
+    eta = check_finite(eta, "displacement eta")
     if not abs(eta) < sol.strain:
         raise DomainError(
             f"|eta| = {abs(eta)!r} must stay below the strain {sol.strain!r}"

@@ -19,6 +19,7 @@ Constants are CODATA-2018 (both are exact by SI definition).
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -33,16 +34,37 @@ BOLTZMANN_KB = 1.380649e-23  # J / K
 DEFAULT_MASS_RATIO = 1000.0
 
 
+def _checked(value, rule: str, ok) -> float:
+    """float(value) if ``ok(float(value))``, else ValidationError ``<rule>, got
+    <value>``; an int past the float range is ``<rule>, got an int past ...``."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(f"{rule}, got an int past the float range") from None
+    if not ok(value):
+        raise ValidationError(f"{rule}, got {value!r}")
+    return value
+
+
+def check_finite(value, name: str) -> float:
+    """``value`` as a float if finite, else ValidationError led by name."""
+    return _checked(value, f"{name} must be finite", math.isfinite)
+
+
 def check_positive(value, name: str) -> float:
     """``value`` as a float if positive and finite, else ValidationError led by name."""
     rule = f"{name} must be positive and finite"
-    try:
-        value = float(value)
-    except OverflowError:  # an int past the float range
-        raise ValidationError(f"{rule}, got an int past the float range") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{rule}, got {value!r}")
-    return value
+    return _checked(value, rule, lambda v: 0.0 < v < math.inf)
+
+
+def check_count(value, name: str) -> int:
+    """An integer ``value`` >= 1 as an int, else ValidationError led by name."""
+    # numpy registers its integer types as Integral, not its bool
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 class ReducedSystem(NamedTuple):

@@ -11,9 +11,9 @@ first use by the two that build arrays, ``wavefunction`` and ``level_table``.
 """
 
 import math
-import numbers
 
 from .errors import DomainError, ValidationError
+from .model import _checked, check_count
 
 #: Levels beyond this are rejected: nothing physical lives there, and
 #: level_table builds one row per level up to its n_max.
@@ -28,24 +28,16 @@ MAX_SIZE = 1e90
 
 def check_level(n, name: str = "quantum number n") -> int:
     """Integer n as an int if in [1, MAX_LEVEL], else ValidationError led by name."""
-    # numpy registers its integer types as Integral, not its bool
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise ValidationError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"{name} must be >= 1, got {n}")
+    n = check_count(n, name)
     if n > MAX_LEVEL:
         raise ValidationError(f"{name} must be <= {MAX_LEVEL}, got {n}")
-    return int(n)
+    return n
 
 
 def check_size(ell, name: str = "box size ell") -> float:
     """ell as a float if in [MIN_SIZE, MAX_SIZE], else ValidationError led by name."""
-    ell = float(ell)
-    if not MIN_SIZE <= ell <= MAX_SIZE:
-        raise ValidationError(
-            f"{name} must lie in [{MIN_SIZE:g}, {MAX_SIZE:g}], got {ell!r}"
-        )
-    return ell
+    rule = f"{name} must lie in [{MIN_SIZE:g}, {MAX_SIZE:g}]"
+    return _checked(ell, rule, lambda v: MIN_SIZE <= v <= MAX_SIZE)
 
 
 def energy_level(n: int, ell: float) -> float:
@@ -70,7 +62,10 @@ def wavefunction(n: int, x, ell: float):
 
     n = check_level(n)
     ell = check_size(ell)
-    x_arr = np.asarray(x, dtype=float)
+    try:
+        x_arr = np.asarray(x, dtype=float)
+    except OverflowError:  # an int past the float range lies in no box
+        x_arr = np.array(math.inf)
     if not np.all((x_arr >= 0.0) & (x_arr <= ell)):  # false for NaN too
         raise DomainError(f"position x must lie in [0, {ell}]")
     psi = math.sqrt(2.0 / ell) * np.sin(n * math.pi * x_arr / ell)

@@ -203,7 +203,15 @@ def test_a_stride_past_the_run_samples_its_first_and_last_steps(sol2):
 @pytest.mark.parametrize("count", ["n_steps", "record_every"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_count_that_is_not_finite_is_a_validation_error(sol2, count, value):
-    with pytest.raises(ValidationError, match=f"^{count} must be finite"):
+    with pytest.raises(ValidationError, match=f"^{count} must be an integer"):
+        integrate(sol2, 1e3, 0.0, **{"n_steps": 10, count: value})
+
+
+@pytest.mark.parametrize("count", ["n_steps", "record_every"])
+@pytest.mark.parametrize("value", [2.5, 10.0, True, np.float64(3.0)])
+def test_a_count_that_is_not_an_integer_is_a_validation_error(sol2, count, value):
+    # int() truncated 2.5 to 2
+    with pytest.raises(ValidationError, match=f"^{count} must be an integer"):
         integrate(sol2, 1e3, 0.0, **{"n_steps": 10, count: value})
 
 
@@ -224,6 +232,22 @@ def test_a_count_that_is_not_finite_is_a_validation_error(sol2, count, value):
 def test_verlet_frequency_rejects_what_has_no_real_frequency(omega, dt, message):
     with pytest.raises(ValidationError, match=f"^{message}"):
         verlet_frequency(omega, dt)
+
+
+@pytest.mark.parametrize(
+    "omega, dt, expected",
+    [
+        # 2/dt overflows: omega asin(x)/x, x = omega dt/2, and omega at x = 0
+        (1.0, 5e-324, 1.0),
+        (1.0, 1e-310, 1.0),
+        (1e308, 1e-308, 1.047197551196598e308),
+        # elsewhere the formula as written, which omega_verlet reports
+        (1.0, 1e-3, 2.0 / 1e-3 * math.asin(1.0 * 1e-3 / 2.0)),
+        (3.0, 0.5, 2.0 / 0.5 * math.asin(3.0 * 0.5 / 2.0)),
+    ],
+)
+def test_verlet_frequency_at_a_subnormal_dt_is_finite(omega, dt, expected):
+    assert verlet_frequency(omega, dt) == expected
 
 
 @pytest.mark.parametrize("record_every", [1, 7, 100, 1000])

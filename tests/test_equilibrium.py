@@ -12,6 +12,7 @@ from conftest import (
 )
 from zpbox import (
     DomainError,
+    NumericalError,
     ValidationError,
     equilibria,
     minimize_oracle,
@@ -51,6 +52,19 @@ def test_total_energy_domain_and_validation():
     for bad_K in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             total_energy(0.1, bad_K)
+
+
+@pytest.mark.parametrize("y, K", [(1e155, 2.0), (1e154, 1e100), (2.0, 1e308)])
+def test_total_energy_whose_spring_term_overflows_is_a_numerical_error(y, K):
+    with pytest.raises(NumericalError, match=r"^the spring energy \(K/2\) y\^2"):
+        total_energy(y, K)
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_total_energy_at_a_y_that_is_not_finite_is_a_validation_error(y):
+    # total_energy(inf, 2.0) was inf
+    with pytest.raises(ValidationError, match="^displacement y must be finite"):
+        total_energy(y, 2.0)
 
 
 def test_solve_equilibrium_k2_matches_bisection_oracle():

@@ -7,16 +7,22 @@ from zpbox import (
     BOLTZMANN_KB,
     PLANCK_H,
     ValidationError,
+    check_count,
+    check_finite,
     check_grid,
     check_level,
     check_positive,
     check_size,
+    energy_level,
     equilibria,
     integrate,
+    perturbed_energy,
+    restoring_force,
     solve_equilibrium,
     thermal_blocks,
     time_step,
     to_reduced,
+    total_energy,
 )
 
 ELECTRON_MASS = 9.109e-31
@@ -139,6 +145,10 @@ def test_eps0_outside_the_float_range_is_a_validation_error(mass, size):
         (check_grid, (0, 1, 2), np.array([0.0, 1.0, 2.0]), [1.0, 0.5]),
         (check_grid, [5e-324], np.array([5e-324]), [-1.0]),
         (check_level, np.uint8(2), 2, np.True_),
+        (check_finite, np.float32(-0.5), -0.5, math.inf),
+        (check_finite, 0, 0.0, math.nan),
+        (check_count, np.int64(3), 3, 3.0),
+        (check_count, 2**1100, 2**1100, True),
     ],
 )
 def test_validators_normalise_or_lead_their_message_with_the_name(
@@ -164,6 +174,12 @@ def test_validators_normalise_or_lead_their_message_with_the_name(
             lambda: time_step(solve_equilibrium(2.0), 1e3, steps_per_period=2**1100),
             "mu 1000.0 with steps_per_period",
         ),
+        (lambda: energy_level(1, 2**1100), "box size ell"),
+        (lambda: restoring_force(2**1100, solve_equilibrium(2.0)), "displacement y"),
+        (lambda: total_energy(2**1100, 2.0), "displacement y"),
+        (lambda: perturbed_energy(solve_equilibrium(2.0), 2**1100), "displacement eta"),
+        (lambda: integrate(solve_equilibrium(2.0), 1e3, 2**1100), "initial displacement"),
+        (lambda: integrate(solve_equilibrium(2.0), 1e3, 0.0, 2**1100), "initial velocity"),
     ],
 )
 def test_an_int_past_the_float_range_is_a_validation_error(call, name):

@@ -79,6 +79,13 @@ def test_wavefunction_domain_errors():
         wavefunction(1, math.nan, 1.0)
 
 
+@pytest.mark.parametrize("x", [2**1100, [0.5, 2**1100]], ids=["scalar", "list"])
+def test_wavefunction_at_an_int_past_the_float_range_is_a_domain_error(x):
+    # np.asarray(2**1100, dtype=float) raises OverflowError
+    with pytest.raises(DomainError, match=r"^position x must lie in \[0, 1.0\]"):
+        wavefunction(1, x, 1.0)
+
+
 def test_position_expectation_is_half_the_box():
     assert position_expectation(1, 1.0) == 0.5
     assert position_expectation(5, 1.0) == 0.5
