@@ -118,12 +118,9 @@ _MAX_RANGE_STEPS = 1_000_000
 
 def _parse_float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise UsageError(f"malformed number {text!r}") from None
-    if math.isnan(value) or math.isinf(value):
-        raise UsageError(f"number {text!r} must be finite")
-    return value
 
 
 def _parse_int(text: str) -> int:
@@ -144,6 +141,8 @@ def _parse_grid(text: str) -> slice | tuple[float, ...]:
         if len(parts) != 3:
             raise UsageError(f"grid {text!r} must be start:stop:step")
         start, stop, step = (_parse_float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"grid start, stop and step must be finite in {text!r}")
         if step <= 0:
             raise UsageError(f"grid step must be positive in {text!r}")
         if stop < start:
@@ -810,7 +809,7 @@ def _dynamics(s: Scenario, K, mu):
     omega, dt = dyn.time_step(
         sol, mu, s.dt_factor, f"{masses} with --dt-factor {s.dt_factor!r}"
     )
-    n_steps = max(1, round(s.n_periods * s.dt_factor))
+    n_steps = round(s.n_periods * s.dt_factor)
     traj = dyn.integrate(
         sol, mu, y0=s.y0_frac * sol.strain, v0=0.0, dt=dt, n_steps=n_steps
     )

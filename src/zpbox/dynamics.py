@@ -103,13 +103,14 @@ def time_step(
 
     ValidationError, led by ``name`` (default: mu and steps_per_period), where
     dt is not positive and finite, or omega*dt >= 2 (see ``integrate``).  The
-    rate steps_per_period omega is checked before it divides, so 0 never does.
+    rate float(steps_per_period) omega, a Python float whatever the argument's
+    type, is checked before it divides, so 0 never does.
     """
     mu = check_positive(mu, "wall mass ratio mu")
     name = name or f"mu {mu!r} with steps_per_period {steps_per_period!r}"
     omega = math.sqrt(sol.effective_stiffness / mu)
     try:
-        rate = steps_per_period * omega
+        rate = float(steps_per_period) * omega
     except OverflowError:  # an int past the float range: dt would be 0
         rate = math.inf
     dt = 2.0 * math.pi / rate if rate > 0.0 else math.inf
@@ -125,14 +126,21 @@ def verlet_frequency(omega: float, dt: float) -> float:
     """(2/dt) asin(omega dt/2): the angular frequency at which velocity Verlet
     with step dt turns a linear oscillation of frequency omega (Hairer,
     Lubich & Wanner 2006); above omega.  ValidationError where omega or dt is
-    not positive and finite, or omega dt >= 2, as in ``time_step``."""
+    not positive and finite, or omega dt >= 2, as in ``time_step``;
+    NumericalError where the frequency lies past the float range."""
     omega = check_positive(omega, "angular frequency omega")
     dt = check_positive(dt, "time step dt")
     _stable(omega, dt, f"time step dt = {dt!r}")
     x = omega * dt / 2.0
     if 2.0 / dt == math.inf:  # a subnormal dt: omega asin(x)/x, and omega at x = 0
-        return omega * (math.asin(x) / x) if x else omega
-    return 2.0 / dt * math.asin(x)
+        frequency = omega * (math.asin(x) / x) if x else omega
+    else:
+        frequency = 2.0 / dt * math.asin(x)
+    if math.isinf(frequency):
+        raise NumericalError(
+            f"the Verlet frequency overflows at omega = {omega!r}, dt = {dt!r}"
+        )
+    return frequency
 
 
 def _stable(omega: float, dt: float, name: str) -> float:

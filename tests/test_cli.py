@@ -35,7 +35,7 @@ from zpbox.cli import (
     run,
     summary_dict,
 )
-from zpbox.errors import NumericalError
+from zpbox.errors import NumericalError, ValidationError
 
 
 def _child_env(**extra) -> dict:
@@ -1554,3 +1554,77 @@ def test_omega_verlet_is_the_frequency_a_coarse_step_measures(tmp_path, dt_facto
     assert main([*argv, "--formats", "json", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "dynamics_summary.json").read_text())
     assert abs(data["measured_omega"] / data["omega_verlet"] - 1.0) < 2e-3
+
+
+def _message(rule, *args, **kwargs) -> str:
+    """The message of the ValidationError that a library rule raises."""
+    with pytest.raises(ValidationError) as info:
+        rule(*args, **kwargs)
+    return str(info.value)
+
+
+_FLOAT_BASES = {
+    "spectrum": ["spectrum", "--ell", "1"],
+    "equilibrium": ["equilibrium", "--K", "2"],
+    "equilibrium SI": ["equilibrium", *_SI_FLAGS],
+    "thermal": ["thermal", "--K", "2", "--t-grid", "0,1"],
+    "thermal SI": ["thermal", *_SI_FLAGS, "--t-grid", "0,1"],
+    "dynamics": ["dynamics", "--K", "2", "--mu", "1000"]
+    + ["--y0-frac", "1e-4", "--dt-factor", "1000"],
+    "dynamics SI": ["dynamics", *_SI_FLAGS],
+    "sweep": ["sweep", "--K-grid", "1,2"],
+}
+# (base, flag): every float flag of every command; a grid's value is "1,<v>"
+_FLOAT_FLAGS = [
+    (base, flag) for base, argv in _FLOAT_BASES.items() for flag in argv[1::2]
+]
+# a flag's rule, as its message for the value v when named by the flag;
+# --K, --mu and the SI flags go to check_positive
+_RULES = {
+    "--ell": lambda v: _message(zpbox.check_size, v, "--ell"),
+    "--t-grid": lambda v: _message(zpbox.check_grid, [1.0, v], "--t-grid"),
+    "--K-grid": lambda v: _message(
+        zpbox.check_grid, [1.0, v], "--K-grid", positive=True
+    ),
+    "--y0-frac": lambda v: "--y0-frac must lie in [0, 1)",
+    "--dt-factor": lambda v: "--n-periods times --dt-factor must be finite",
+}
+
+
+@pytest.mark.parametrize(
+    "base, flag", _FLOAT_FLAGS, ids=[f"{b} {f}" for b, f in _FLOAT_FLAGS]
+)
+def test_a_float_flag_that_is_not_finite_gets_the_message_of_its_rule(
+    tmp_path, capsys, base, flag
+):
+    # each was "--<flag>: number '<text>' must be finite"
+    rule = _RULES.get(flag, lambda v: _message(zpbox.check_positive, v, flag))
+    wrong = []
+    for text in ("inf", "-inf", "nan", "2e400"):
+        argv = list(_FLOAT_BASES[base])
+        argv[argv.index(flag) + 1] = f"1,{text}" if flag.endswith("-grid") else text
+        code = main([*argv, "--out", str(tmp_path / "never")])
+        expected = f"zpbox: error: {rule(float(text))}\n"
+        if (code, *capsys.readouterr()) != (2, "", expected):
+            wrong.append(text)
+    assert wrong == []
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("text", ["1e400", "inf", "-inf", "nan"])
+def test_a_range_part_that_is_not_finite_is_one_error_line(
+    tmp_path, capsys, position, text
+):
+    # each was "--<flag>: number '<text>' must be finite"; start <= stop alone
+    # passes -inf:-inf:1, whose step count (stop - start)/step is nan
+    parts = ["1", "2", "0.5"]
+    parts[position] = text
+    grid = ":".join(parts)
+    for argv in (["thermal", "--K", "2"], ["sweep"]):
+        flag = "--t-grid" if argv[0] == "thermal" else "--K-grid"
+        argv = [*argv, flag, grid]
+        assert main([*argv, "--out", str(tmp_path / "never")]) == 2
+        message = f"{flag}: grid start, stop and step must be finite in {grid!r}"
+        assert capsys.readouterr() == ("", f"zpbox: error: {message}\n")
+    assert not (tmp_path / "never").exists()

@@ -250,6 +250,26 @@ def test_verlet_frequency_at_a_subnormal_dt_is_finite(omega, dt, expected):
     assert verlet_frequency(omega, dt) == expected
 
 
+@pytest.mark.parametrize(
+    "omega, dt",
+    [
+        (1.7e308, 1e-308),  # 2/dt overflows, and so does omega asin(x)/x
+        (1.6e308, 1.2e-308),  # 2/dt is finite, (2/dt) asin(x) is not
+    ],
+)
+def test_verlet_frequency_past_the_float_range_is_a_numerical_error(omega, dt):
+    # both returned inf
+    with pytest.raises(NumericalError, match="^the Verlet frequency overflows"):
+        verlet_frequency(omega, dt)
+
+
+def test_time_step_reads_steps_per_period_as_a_python_float(sol2):
+    # np.float32(2000.0) * omega stayed in float32: dt was 0.051978312
+    omega, dt = time_step(sol2, MU, np.float32(2000.0))
+    assert (omega, dt) == time_step(sol2, MU, 2000.0)
+    assert type(dt) is float
+
+
 @pytest.mark.parametrize("record_every", [1, 7, 100, 1000])
 def test_record_stride_subsamples_the_same_path(sol2, record_every):
     full = integrate(sol2, MU, y0=1e-3 * sol2.strain, n_steps=100)

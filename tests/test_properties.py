@@ -158,11 +158,12 @@ def _verdict(argv):
 @given(grid=_any_ranges(), flag=st.sampled_from(["t-grid", "K-grid"]))
 @example((1e22, 1e22, 1.0), "t-grid")  # a step below float resolution
 @example((-1.7e308, 1.7e308, 1e308), "K-grid")  # i*step overflows
+@example((1e308, 1.7e308, 1e308), "K-grid")  # a point past the float range
 def test_a_range_and_the_list_of_its_points_get_one_verdict(grid, flag):
-    # check_grid judges both spellings: the range has no rule of its own
+    # check_grid alone judges the points of both spellings, an inf among them
     command = ["thermal", "--K", "1"] if flag == "t-grid" else ["sweep"]
     points = _grid_points(_parse_grid("%r:%r:%r" % grid))
-    listed = ",".join(map(repr, points[np.isfinite(points)].tolist()))
+    listed = ",".join(map(repr, points.tolist()))
     as_range = _verdict([*command, f"--{flag}", "%r:%r:%r" % grid])
     assert as_range == _verdict([*command, f"--{flag}", listed])
 
