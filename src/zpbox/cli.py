@@ -224,7 +224,9 @@ def _format_float(value) -> str:
 def _format_grid(grid) -> str:
     if isinstance(grid, slice):
         return "%.17g:%.17g:%.17g" % (grid.start, grid.stop, grid.step)
-    return ",".join(["%.17g"] * len(grid)) % tuple(grid)
+    # a comma list is the CSV formatter's column of its points, a line each
+    column = b"".join(_csv_blocks([[np.array(grid, dtype=float)]], 1))
+    return column[:-1].replace(b"\n", b",").decode()
 
 
 # ---------------------------------------------------------------------------
@@ -468,30 +470,40 @@ def _resolve_system(s: Scenario) -> tuple[float | None, float | None, dict | Non
     return s.K, s.mu, None
 
 
-# rows formatted in one numpy pass; its work arrays take about 320 bytes a
-# value, 2.3 MB at 7 columns
+# rows formatted in one numpy pass; its work arrays take 275 bytes a value,
+# 2.0 MB at 7 columns
 _CSV_BLOCK_ROWS = 1024
 _SWEEP_BLOCK = 4096  # stiffnesses a sweep solves at a time: one block of its CSV
 
 # Every value of a block is first written into the same 52-byte superset
-# text (13 little-endian uint32 words), of which its ".17g" text is a
-# subsequence; D0 ... D16 are the value's 17 significant digits:
+# text (13 uint32 words), of which its ".17g" text, led by its separator, is
+# a subsequence; D0 ... D16 are the value's 17 significant digits, and a
+# prefix is the separator ("\n" before a row's first value, "," before the
+# others) and the sign, right-aligned:
 #
-#   byte  0 "-"   1-2 "0."   4-7 "000" D0   8-23 D1 ... D16   27 "."
-#        28-43 D1 ... D16   44-48 "e" sign and three exponent digits
-#        51 the separator ("," or "\n"); bytes 3, 24-26 and 49-50 are padding
+#   bytes 0-6 a prefix, and "0." and zeros for a value below 1 in fixed
+#   notation   7-23 D0 ... D16   24-25 a prefix   26 D0   27 "."
+#   28-43 D1 ... D16   44-48 "e", the exponent's sign and two or three
+#   digits, left-aligned; bytes 49-51 are padding
 #
 # A keep row of 52 booleans, looked up by the value's shape (notation,
-# number of significant digits, sign), picks its bytes: 1.5 is "1" (7),
-# "." (27) and "5" (28); 0.0625 is "0." (1-2), "0" (6) and "625" (7-9);
-# 1.52587890625e-05 is "1" (7), "." (27), "52587890625" (28-38) and "e-05"
-# (44, 45, 47, 48).
+# number of significant digits, separator, sign), picks its bytes.  The copy
+# costs more for each run of kept bytes than for the bytes, so a value keeps
+# one run where it can, and at most three: ",0.0625" is ",0.0625" (3-9);
+# ",-1.5" is ",-1.5" (24-28); ",1.8907151453417509e-05" is all of 25-47;
+# ",-15.25" is ",-15" (5-8), "." (27) and "25" (29-30);
+# ",1.52587890625e-05" is ",1.52587890625" (25-38) and "e-05" (44-47).
+# A piece's text so starts with the "\n" that ends the line before it, which
+# is dropped, and ends with one more row that keeps only a "\n".
 _CSV_WORDS = 13
 _CSV_WIDTH = 4 * _CSV_WORDS
-_CSV_SEP = _CSV_WIDTH - 1
-# shapes: X = -4 ... 16 print in fixed notation, others in exponent notation
-# with two or three exponent digits; 17 digit counts; two signs
-_CSV_SHAPES = (21 + 2) * 17 * 2
+# kinds: X = -4 ... 16 print in fixed notation, others in exponent notation
+# with two or three exponent digits; 17 digit counts
+_CSV_KINDS = (21 + 2) * 17
+# Python's own text, at most 24 bytes ("-2.2250738585072014e-308"), goes to
+# bytes 28-51, after its separator in byte 27: kind _CSV_KINDS + L keeps L
+_CSV_RAW = 24
+_CSV_NEWLINE = 4 * _CSV_KINDS  # L = 0 after a "\n": the last row of a piece
 # the tables' range: 10**k for k = X + 1 and 16 - X, and the exponent text
 # and shape of X (up to 309 after rounding), for every double's decimal
 # exponent X = floor(log10 |v|) in [-324, 308]
@@ -501,13 +513,19 @@ _MIN_POWER, _MAX_POWER = -324, 340
 # Lookup tables of the vectorised "%.17g", indexed as noted:
 #   ceil[k - _MIN_POWER]   the smallest double >= 10**k
 #   power[k - _MIN_POWER]  high, its 26-bit halves hh and hl, and low, where
-#   scale[k - _MIN_POWER]  10**k = (high + low) 2**scale (_powers_of_ten)
+#   scale[k - _MIN_POWER]  10**k = (high + low) 2**scale (_powers_of_ten);
+#                          power.T holds the four as contiguous rows
 #   digits[n], zeros[n]    "%04d" % n as a uint32, and its trailing zeros
-#   exponent[X - _MIN_POWER]   "e", sign and three digits, as two words
-#   shape[X - _MIN_POWER]  the keep row of 17 digits, positive
-#   keep[shape]            the bytes kept; _CSV_SHAPES + L keeps the first L
+#   exponent[:, X - _MIN_POWER]  "e", sign and digits, as two words
+#   shape[X - _MIN_POWER]  the shape of 17 digits after a "\n", positive
+#   keep[shape]            the bytes kept
+#   prefix[:, shape]       words 0, 1 and 6 of the prefixes; 1 and 6 go by
+#                          XOR onto "%04d" % D0 and "%04d" % (10 D0), which
+#                          put D0 in bytes 7 and 26
+# where a shape is 4 kind + 2 [separator ","] + [sign -], and a kind is
+# 17 notation + digits - 1
 _CsvTables = namedtuple(
-    "_CsvTables", "ceil power scale digits zeros exponent shape keep"
+    "_CsvTables", "ceil power scale digits zeros exponent shape keep prefix"
 )
 
 
@@ -516,8 +534,11 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
     10**k = (high + low) 2**scale, high in [1, 2] and low its remainder, each
     correctly rounded, and ceil, the smallest double >= 10**k."""
     ceil, high, low, scale = [], [], [], []
+    ten = [1]  # 10**j by products: 10**j alone took 0.17 of 2.1 ms
+    for _ in range(max(-_MIN_POWER, _MAX_POWER)):
+        ten.append(ten[-1] * 10)
     for k in range(_MIN_POWER, _MAX_POWER + 1):
-        n, m = (10**k, 1) if k >= 0 else (1, 10**-k)  # 10**k = n/m
+        n, m = (ten[k], 1) if k >= 0 else (1, ten[-k])  # 10**k = n/m
         s = n.bit_length() - 1 if k >= 0 else -m.bit_length()  # 10**k / 2**s
         # 10**k 2**(127 - s) = q + f, f in [0, 1): u = 2q + [f > 0] keeps a
         # sticky last bit, so float() rounds u, and u less high's bits, as it
@@ -549,25 +570,31 @@ def _csv_tables() -> _CsvTables:
     ceil, high, low, scale = _powers_of_ten()
     c = high * (2.0**27 + 1)  # Veltkamp's split: hh + hl = high, 26 bits each
     hh = c - (c - high)
-    power = np.stack([high, hh, high - hh, low], axis=1)
-    ten = np.arange(10, dtype=np.uint8)
-    group = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), axis=-1)
-    digits = (group + ord("0")).view(np.uint32).ravel()  # group n = "%04d" % n
-    i, j, k, m = (group[..., d] == 0 for d in range(4))  # digit d is 0
-    zeros = (m * (1 + k * (1 + j * (1 + i)))).astype(np.uint8).ravel()
+    power = np.stack([high, hh, high - hh, low]).T
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    group = np.empty((10, 10, 10, 10, 4), np.uint8)  # group n = "%04d" % n
+    group[..., 0] = ten[:, None, None, None]
+    group[..., 1] = ten[:, None, None]
+    group[..., 2] = ten[:, None]
+    group[..., 3] = ten
+    digits = group.view(np.uint32).ravel()
+    z = ten == ord("0")  # zeros[n], the trailing zeros of group n
+    zeros = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    zeros = zeros.astype(np.uint8).ravel()
 
     x = np.arange(_MIN_POWER, _MAX_POWER + 1)
     ax = np.abs(x)
+    wide = ax >= 100  # three exponent digits
     exponent = np.zeros((len(x), 8), np.uint8)
     exponent[:, 0] = ord("e")
     exponent[:, 1] = np.where(x < 0, ord("-"), ord("+"))
-    for col, unit in enumerate((100, 10, 1), start=2):
-        exponent[:, col] = ord("0") + ax // unit % 10
-    notation = np.where((-4 <= x) & (x <= 16), x + 4, 21 + (ax >= 100))
-    # row (notation 17 + s - 1) 2 + sign, s = 17 - trailing zeros
-    shape = notation * 34 + 2 * 16
+    exponent[:, 2] = ord("0") + np.where(wide, ax // 100, ax // 10 % 10)
+    exponent[:, 3] = ord("0") + np.where(wide, ax // 10 % 10, ax % 10)
+    exponent[:, 4] = ord("0") + ax % 10  # kept for three digits only
+    notation = np.where((-4 <= x) & (x <= 16), x + 4, 21 + wide)
+    shape = 4 * (notation * 17 + 16)
 
-    # keep[notation, s - 1, sign, byte]; X = -4 ... 16, then the exponents
+    # body[kind, byte]: X = -4 ... 16, the exponents, Python's text
     p = np.arange(_CSV_WIDTH)
     X = np.arange(-4, 17)[:, None, None]
     s = np.arange(1, 18)[None, :, None]
@@ -575,18 +602,55 @@ def _csv_tables() -> _CsvTables:
     fixed = np.where(
         X >= 0,
         (7 <= p) & (p <= 7 + X) | after,  # D0 ... DX "." D(X+1) ...
-        (1 <= p) & (p <= 2) | (8 + X <= p) & (p < 7 + s),  # "0." zeros D0 ...
+        (7 <= p) & (p < 7 + s),  # D0 ... after "0." and zeros
     )
+    mantissa = (p == 26) | (s > 1) & (27 <= p) & (p <= 26 + s)  # D0 "." D1 ...
+    fixed[4] = mantissa[0]  # X = 0
     three = np.array([False, True])[:, None, None]  # three exponent digits
-    exp = (p == 7) | (p == 27) & (s > 1) | (28 <= p) & (p <= 26 + s)
-    exp = exp | (p == 44) | (p == 45) | (p == 46) & three | (p == 47) | (p == 48)
-    keep = np.concatenate([fixed, np.broadcast_to(exp, (2, 17, _CSV_WIDTH))])
-    keep = np.stack([keep, keep | (p == 0)], axis=2).reshape(-1, _CSV_WIDTH)
-    raw = p < np.arange(_CSV_WIDTH)[:, None]  # the first L bytes, as written
-    keep = np.concatenate([keep, raw]) | (p == _CSV_SEP)
+    exp = mantissa | (44 <= p) & (p <= 47 + three)
+    raw = (27 <= p) & (p <= 27 + np.arange(_CSV_RAW + 1)[:, None])
+    body = [rows.reshape(-1, _CSV_WIDTH) for rows in (fixed, exp, raw)]
+    body = np.concatenate(body)
+    # the prefix, [kind, separator, sign]: in bytes 0-6 (with "0." and z - 1
+    # zeros for X = -z < 0) or in 24-25, ahead of D0 in byte 7 or 26
+    z = np.zeros(len(body), np.int8)  # int8: a third of int64's time
+    z[: 4 * 17] = np.repeat([4, 3, 2, 1], 17)
+    end = np.full(len(body), 6, np.int8)  # the prefix's last byte
+    end[4 * 17 : 5 * 17] = end[21 * 17 :] = 25
+    end[_CSV_KINDS:] = -1  # none: the separator is byte 27
+    first = (end - z - (z > 0))[:, None] - np.arange(2, dtype=np.int8)  # [kind, sign]
+    byte = p.astype(np.int8)
+    prefixed = (first[..., None] <= byte) & (byte <= end[:, None, None])
+    keep = np.empty((len(body), 2, 2, _CSV_WIDTH), bool)
+    np.bitwise_or(body[:, None, None], prefixed[:, None], out=keep)
+
+    # words 0 and 1 by z, and word 6 for a kind or Python's text; words 1
+    # and 6 go onto "000" D0 and "00" D0 "0" by XOR
+    leads = [sep + sign for sep in "\n," for sign in ("", "-")]
+    points = ("", "0.", "0.0", "0.00", "0.000")
+    head = "".join(f"{lead + point:>7}\0" for point in points for lead in leads)
+    head = np.frombuffer(head.encode(), np.uint32).reshape(5, 4, 2)
+    middle = [f"{lead:>2}\0{c or lead[0]}" for c in (".", "") for lead in leads]
+    middle = np.frombuffer("".join(middle).encode(), np.uint32).reshape(2, 4)
+    zero = np.frombuffer(b"000\0" b"00\x000", np.uint32)
+    prefix = np.stack(
+        [
+            head[z, :, 0],
+            head[z, :, 1] ^ zero[0],
+            np.where(np.arange(len(body))[:, None] < _CSV_KINDS, *middle) ^ zero[1],
+        ]
+    )
 
     return _CsvTables(
-        ceil, power, scale, digits, zeros, exponent.view(np.uint32), shape, keep
+        ceil,
+        power,
+        scale,
+        digits,
+        zeros,
+        exponent.view(np.uint32).T.copy(),
+        shape,
+        keep.reshape(-1, _CSV_WIDTH),
+        prefix.reshape(3, -1),
     )
 
 
@@ -598,7 +662,10 @@ def _csv_blocks(blocks, width):
     numpy calls formats a piece into a prefix of work arrays allocated here,
     once, before the first block is pulled: arrays allocated afresh for each
     piece page-faulted anew (about 45 000 faults and 0.05 s of CPU on a
-    10**5-row dynamics CSV).
+    10**5-row dynamics CSV).  The 13 words of the values' superset texts are
+    assembled as contiguous rows, one a word, and copied across into the
+    texts at once: a word written into the texts directly is a strided
+    write, which took twice as long.
     """
     t = _csv_tables()
     n = _CSV_BLOCK_ROWS * width
@@ -607,25 +674,18 @@ def _csv_blocks(blocks, width):
     f = np.empty(n)
     e = np.empty(n, np.intc)
     x = np.empty(n, np.intp)  # decimal exponent X
-    i = np.empty(n, np.intp)
+    i = np.empty(n, np.intp)  # the power 16 - X, then the shape
     b = np.empty(n, bool)
     slow = np.empty(n, bool)  # formatted by Python
-    product = np.empty((4, n))  # p, r, ah, al: Dekker's product
-    power = np.empty((n, 4))  # high, hh, hl, low of 10**(16 - X)
-    d = np.empty(n, np.int64)  # the 17 digits, then D0
     q = np.empty(n, np.int64)
-    groups = np.empty((n, 4), np.intp)  # D1-D4 ... D13-D16
-    zeros = np.empty((n, 4), np.uint8)
-    shape = np.empty(n, np.intp)
-    lead = np.empty(n, np.uint32)
-    digits = np.empty((n, 4), np.uint32)
-    exponent = np.empty((n, 2), np.uint32)
-    words = np.empty((n, _CSV_WORDS), np.uint32)
-    keep = np.empty((n, _CSV_WIDTH), bool)
-    seps = [ord(",")] * (width - 1) + [ord("\n")]
-    seps = np.array(seps, np.uint32) << 24  # the last byte of word 12
-    flat = (values, a, f, e, x, i, b, slow, d, q, shape, lead)
-    rows = (power, groups, zeros, digits, exponent, words, keep)
+    spent = np.empty(8 * n)  # Dekker's product and the power; then the words
+    groups = np.empty(6 * n, np.int64)  # D0, D1-D4 ... D13-D16, 10 D0
+    zero_rows = np.empty(4 * n, np.uint8)  # the trailing zeros of D1-D4 ...
+    text = np.empty((n + 1, _CSV_WIDTH), np.uint8)  # and the last "\n"
+    keep = np.empty((n + 1, _CSV_WIDTH), bool)
+    comma = [0] + [2] * (width - 1)  # the shape's separator bit: "," or "\n"
+    comma = np.tile(np.array(comma, np.uint8), _CSV_BLOCK_ROWS)
+    flat = (values, a, f, e, x, i, b, slow, q, comma)
     pieces = (
         [c[start : start + _CSV_BLOCK_ROWS] for c in block]
         for block in blocks
@@ -633,9 +693,12 @@ def _csv_blocks(blocks, width):
     )
     for piece in pieces:
         n = len(piece[0]) * width  # a short piece fills a prefix of each array
-        values, a, f, e, x, i, b, slow, d, q, shape, lead = (w[:n] for w in flat)
-        p, r, ah, al = product[:, :n]
-        power, groups, zeros, digits, exponent, words, keep = (w[:n] for w in rows)
+        values, a, f, e, x, i, b, slow, q, comma = (w[:n] for w in flat)
+        product, power = spent[: 8 * n].reshape(2, 4, n)
+        digits, zeros = groups[: 6 * n].reshape(6, n), zero_rows[: 4 * n].reshape(4, n)
+        p, r, ah, al = product
+        high, hh, hl, low = power
+        d = digits[0]
         np.stack(piece, axis=1, out=values.reshape(-1, width))  # ints to float64
         np.abs(values, out=a)
         np.isfinite(a, out=b)
@@ -667,8 +730,7 @@ def _csv_blocks(blocks, width):
         np.subtract(16 - _MIN_POWER, x, out=i)
         np.take(t.scale, i, out=e, mode="clip")
         np.ldexp(a, e, out=a)  # A
-        np.take(t.power, i, axis=0, out=power, mode="clip")
-        high, hh, hl, low = power.T
+        np.take(t.power.T, i, axis=1, out=power, mode="clip")
         np.multiply(a, 2.0**27 + 1, out=f)  # Veltkamp's split: ah + al = A
         np.subtract(f, a, out=ah)
         np.subtract(f, ah, out=ah)
@@ -691,46 +753,59 @@ def _csv_blocks(blocks, width):
         np.copyto(d, 10**16, where=b)
         x += b
 
-        # d = D0 D1 ... D16: the leading digit, four groups of four digits,
-        # and the count of trailing zeros, z3 + [g3 = 0](z2 + [g2 = 0](z1 +
-        # [g1 = 0] z0)) for the groups' own trailing zeros zk
-        np.divmod(d, 10**8, out=(q, i))
-        np.divmod(i, 10_000, out=(groups[:, 2], groups[:, 3]))
-        np.divmod(q, 10**8, out=(d, q))
-        np.divmod(q, 10_000, out=(groups[:, 0], groups[:, 1]))
-        np.take(t.digits, groups, out=digits, mode="clip")
-        np.take(t.zeros, groups, out=zeros, mode="clip")
-        np.equal(groups, 0, out=groups)
-        trailing = zeros[:, 0]
+        # d = D0 D1 ... D16 into rows: D0, four groups of four digits and
+        # 10 D0, by floor_divide and a multiply-subtract (np.divmod took four
+        # times as long on int64); the count of trailing zeros is z3 + [g3 =
+        # 0](z2 + [g2 = 0](z1 + [g1 = 0] z0)) for the groups' own trailing
+        # zeros zk, and zk = 4 where gk = 0
+        np.floor_divide(d, 10**8, out=digits[2])  # D0 ... D8
+        np.multiply(digits[2], 10**8, out=digits[4])
+        np.subtract(d, digits[4], out=digits[4])  # D9 ... D16
+        np.floor_divide(digits[2], 10**8, out=d)  # D0
+        np.multiply(d, 10**8, out=q)
+        digits[2] -= q  # D1 ... D8
+        for k in (1, 3):
+            np.floor_divide(digits[k + 1], 10_000, out=digits[k])
+            np.multiply(digits[k], 10_000, out=q)
+            digits[k + 1] -= q
+        np.multiply(d, 10, out=digits[5])
+        np.take(t.zeros, digits[1:5], out=zeros, mode="clip")
+        trailing = zeros[0]
         for k in (1, 2, 3):
-            np.multiply(trailing, groups[:, k], out=trailing, casting="unsafe")
-            trailing += zeros[:, k]
+            np.equal(zeros[k], 4, out=b)
+            trailing *= b
+            trailing += zeros[k]
         x -= _MIN_POWER
-        np.take(t.shape, x, out=shape, mode="clip")
-        trailing *= 2
-        shape -= trailing
+        np.take(t.shape, x, out=i, mode="clip")
+        trailing *= 4
+        i -= trailing
         np.signbit(values, out=b)
-        shape += b
+        i += b
+        i += comma
 
-        words[:, 0] = int.from_bytes(b"-0. ", "little")
-        np.take(t.digits, d, out=lead, mode="clip")
-        words[:, 1] = lead
-        words[:, 2:6] = digits
-        words[:, 6] = int.from_bytes(b"   .", "little")
-        words[:, 7:11] = digits
-        np.take(t.exponent, x, axis=0, out=exponent, mode="clip")
-        words[:, 11:13] = exponent
-        words.reshape(-1, width, _CSV_WORDS)[:, :, 12] |= seps
-
-        text = words.view(np.uint8)
         index = np.flatnonzero(slow)
         if len(index):
             texts = [format(v, ".17g") for v in values[index].tolist()]
-            raw = np.array(texts, dtype=f"S{_CSV_SEP}").view(np.uint8)
-            text[index, :_CSV_SEP] = raw.reshape(-1, _CSV_SEP)
-            shape[index] = _CSV_SHAPES + np.array([len(s) for s in texts])
-        chunk = text[np.take(t.keep, shape, axis=0, out=keep, mode="clip")]
-        yield chunk
+            raw = np.array(texts, dtype=f"S{_CSV_RAW}").view(np.uint8)
+            lengths = np.array([len(s) for s in texts])
+            i[index] = (i[index] & 2) + 4 * (_CSV_KINDS + lengths)  # separator kept
+
+        # the words, as rows, in the memory of the spent product and power
+        words = spent.view(np.uint32)[: _CSV_WORDS * n].reshape(_CSV_WORDS, n)
+        np.take(t.digits, digits, out=words[1:7], mode="clip")
+        np.take(t.prefix[0], i, out=words[0], mode="clip")
+        for k, word in ((1, words[1]), (2, words[6])):  # row 7 as scratch
+            np.take(t.prefix[k], i, out=words[7], mode="clip")
+            word ^= words[7]
+        words[7:11] = words[2:6]
+        np.take(t.exponent, x, axis=1, out=words[11:], mode="clip")
+        np.copyto(text[:n].view(np.uint32), words.T)
+        if len(index):
+            text[index, 28:] = raw.reshape(-1, _CSV_RAW)
+        np.take(t.keep, i, axis=0, out=keep[:n], mode="clip")
+        text[n, 27] = ord("\n")
+        keep[n] = t.keep[_CSV_NEWLINE]  # the row after the piece's last
+        yield text[: n + 1][keep[: n + 1]][1:]
 
 
 def _write_csv(path: Path, header, blocks) -> None:

@@ -983,6 +983,47 @@ def test_integral_doubles_print_as_their_digits():
     assert csv == b"1\n999999\n1000000\n"
 
 
+# values the CSV formatter hands to Python's own format
+_PYTHON_FORMATTED = (0.0, -0.0, math.nan, math.inf, -math.inf, 2.0**-25)
+
+
+@pytest.mark.parametrize("piece_rows", [1, 3, 1024])
+def test_csv_bytes_do_not_depend_on_the_piece_size(monkeypatch, piece_rows):
+    # Python-formatted values in the first and last row of every other piece,
+    # in alternate columns, and formatted values in those rows of the pieces
+    # between: no text from one piece shows in the next
+    n_rows = 4 * piece_rows + 41
+    rng = np.random.default_rng(piece_rows)
+    columns = rng.integers(0, 2**64, (3, n_rows), dtype=np.uint64).view(np.float64)
+    columns[1, ::2] = rng.random(len(columns[1, ::2]))  # fixed notation below 1
+    for row in range(n_rows):
+        piece, at = divmod(row, piece_rows)
+        if at in (0, piece_rows - 1):
+            columns[2 * (piece % 2), row] = _PYTHON_FORMATTED[row % 6]
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", piece_rows)
+    chunks = list(cli._csv_blocks([list(columns)], 3))
+    assert len(chunks) == -(-n_rows // piece_rows)
+    expected = _per_value_csv(["a", "b", "c"], list(columns)).split(b"\n", 1)[1]
+    assert b"".join(chunks) == expected
+
+
+_ECHOED = [*_SPECIAL_FLOATS, *_PYTHON_FORMATTED, *_EDGE_FLOATS]
+
+
+@pytest.mark.parametrize("n_patterns", [0, 1, 2 * _CSV_BLOCK_ROWS + 1])
+def test_comma_grid_echo_is_the_per_value_format(n_patterns):
+    rng = np.random.default_rng(n_patterns)
+    patterns = rng.integers(0, 2**64, n_patterns, dtype=np.uint64).view(np.float64)
+    for grid in [(1.5,), tuple(_ECHOED + patterns.tolist())]:
+        echo = cli._format_grid(grid)
+        assert echo == ",".join(["%.17g"] * len(grid)) % grid
+    # and through the summary's argv, for the points a sweep accepts
+    points = sorted({v for v in map(abs, grid) if 0.0 < v < math.inf})
+    text = ",".join(map(repr, points))
+    argv = parse_scenario(["sweep", "--K-grid", text]).to_argv()
+    assert argv[argv.index("--K-grid") + 1] == ",".join("%.17g" % v for v in points)
+
+
 def test_successful_run_leaves_only_its_outputs(tmp_path):
     assert main([*_DYNAMICS_20, "--out", str(tmp_path)]) == 0
     names = sorted(p.name for p in tmp_path.iterdir())
